@@ -1,18 +1,24 @@
-"""Dense linear algebra over small finite fields.
+"""Dense linear algebra over small finite fields: the one F_q subspace
+kernel every layer shares.
 
 Two layers:
 
 * ``modp_*`` functions work on numpy integer arrays over a prime field
-  F_p (entries 0..p-1).
+  F_p (entries 0..p-1).  ``modp_rref`` is the single elimination loop;
+  rank, nullspace, inverse and the reduction transform are read off it.
 * ``generic_*`` functions take rows of packed field elements together
   with a FieldSpec-like ops object and run schoolbook Gaussian
   elimination with its ``add``/``mul``/``inv``.  They are used both for
   F_q with q = p^e, e > 1, and for matrices over the big field F_{q^n}
   (Moore matrices, interpolation).
 
-The ``fq_*`` dispatchers pick the numpy path when the subfield F_q is
-prime and fall back to the generic path otherwise.  All canonical
-outputs (RREF, nullspace bases) are deterministic.
+The ``fq_*`` functions work on vectors over the subfield F_q of a field
+spec.  ``fq_rref``, ``fq_rank``, ``fq_nullspace`` and ``fq_inv`` pick
+the numpy path when F_q is prime and fall back to the generic path
+otherwise; ``fq_in_span`` tests membership in the row span of an
+``fq_rref`` result and ``fq_span`` streams a span in a fixed odometer
+order.  All canonical outputs (RREF, nullspace bases, span order) are
+deterministic.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .errors import SingularMatrixError
 __all__ = [
     "modp_rref", "modp_rank", "modp_nullspace", "modp_inv", "modp_reduction",
     "generic_rref", "generic_rank", "generic_nullspace", "generic_inv",
-    "fq_rref", "fq_rank", "fq_nullspace", "fq_inv",
+    "fq_rref", "fq_rank", "fq_nullspace", "fq_inv", "fq_in_span", "fq_span",
 ]
 
 
@@ -32,13 +38,15 @@ __all__ = [
 # prime field, numpy
 # ----------------------------------------------------------------------------
 
-def modp_rref(a, p):
-    """Reduced row echelon form mod p.  Returns (R, pivot_columns)."""
+def modp_rref(a, p, ncols=None):
+    """Reduced row echelon form mod p.  Returns (R, pivot_columns).  With
+    ``ncols`` only the first ``ncols`` columns are pivot candidates; the
+    columns to their right are carried along by the row operations."""
     r = np.array(a, dtype=np.int64) % p
-    nrows, ncols = r.shape
+    nrows = r.shape[0]
     pivots = []
     row = 0
-    for col in range(ncols):
+    for col in range(r.shape[1] if ncols is None else ncols):
         if row >= nrows:
             break
         nz = np.nonzero(r[row:, col])[0]
@@ -89,46 +97,10 @@ def modp_inv(a, p):
 def modp_reduction(a, p):
     """Row-reduction transform: returns (R, E, pivots) with E a = R."""
     a = np.array(a, dtype=np.int64) % p
-    nrows = a.shape[0]
+    nrows, ncols = a.shape
     aug = np.concatenate([a, np.eye(nrows, dtype=np.int64)], axis=1)
-    raug, _ = modp_rref_pivots_left(aug, a.shape[1], p)
-    r = raug[:, : a.shape[1]]
-    e = raug[:, a.shape[1]:]
-    pivots = _leading_columns(r)
-    return r, e, pivots
-
-
-def modp_rref_pivots_left(a, ncols_left, p):
-    """RREF that only pivots on the first ``ncols_left`` columns."""
-    r = np.array(a, dtype=np.int64) % p
-    nrows = r.shape[0]
-    pivots = []
-    row = 0
-    for col in range(ncols_left):
-        if row >= nrows:
-            break
-        nz = np.nonzero(r[row:, col])[0]
-        if nz.size == 0:
-            continue
-        pr = row + int(nz[0])
-        if pr != row:
-            r[[row, pr]] = r[[pr, row]]
-        r[row] = (r[row] * pow(int(r[row, col]), -1, p)) % p
-        for i in np.nonzero(r[:, col])[0]:
-            if i != row:
-                r[i] = (r[i] - r[i, col] * r[row]) % p
-        pivots.append(col)
-        row += 1
-    return r, pivots
-
-
-def _leading_columns(r):
-    pivots = []
-    for row in r:
-        nz = np.nonzero(row)[0]
-        if nz.size:
-            pivots.append(int(nz[0]))
-    return pivots
+    raug, pivots = modp_rref(aug, p, ncols)
+    return raug[:, :ncols], raug[:, ncols:], pivots
 
 
 # ----------------------------------------------------------------------------
@@ -218,7 +190,9 @@ def fq_rank(rows, gf):
 
 
 def fq_nullspace(rows, gf):
-    if not rows:
+    """Canonical nullspace basis as tuples; ``rows`` may be a numpy array
+    when F_q is prime."""
+    if len(rows) == 0:
         return []
     if _prime_fq(gf):
         basis = modp_nullspace(np.array(rows, dtype=np.int64), gf.p)
@@ -230,3 +204,39 @@ def fq_inv(rows, gf):
     if _prime_fq(gf):
         return [tuple(int(x) for x in row) for row in modp_inv(np.array(rows, dtype=np.int64), gf.p)]
     return [tuple(row) for row in generic_inv(rows, gf)]
+
+
+def fq_in_span(echelon, v, gf):
+    """Is the vector v in the row span of ``echelon = fq_rref(rows, gf)``?"""
+    rref, pivots = echelon
+    v = list(v)
+    for row, c in zip(rref, pivots):
+        if v[c]:
+            coef = v[c]
+            v = [gf.sub(x, gf.mul(coef, y)) for x, y in zip(v, row)]
+    return not any(v)
+
+
+def fq_span(gf, basis):
+    """Stream all q^len(basis) F_q-combinations of the (nonempty list of)
+    basis vectors as tuples, by an odometer over the coefficient digits:
+    the zero vector first, digit 0 fastest.  Stepping digit i from fq[d]
+    to fq[d+1] adds (fq[d+1] - fq[d]) * b_i, so arbitrary F_q scalars are
+    covered, not just integer multiples."""
+    fq = gf.fq_list()
+    q = len(fq)
+    deltas = [[tuple(gf.mul(gf.sub(fq[(d + 1) % q], fq[d]), x) for x in b) for d in range(q)]
+              for b in basis]
+    cur = (0,) * len(basis[0])
+    yield cur
+    digits = [0] * len(basis)
+    for _ in range(q ** len(basis) - 1):
+        i = 0
+        while True:
+            d = digits[i]
+            cur = tuple(map(gf.add, cur, deltas[i][d]))
+            digits[i] = (d + 1) % q
+            if digits[i]:
+                break
+            i += 1
+        yield cur

@@ -40,6 +40,7 @@ from .rankcode import (
     mat_mul,
     mat_vec,
     project_code,
+    vec_mat,
 )
 
 GL_GUARD_AUT = 1 << 18
@@ -230,21 +231,12 @@ def normalizer_elements(nr_basis, gf, guard: int = GL_GUARD_NORMALIZER):
     n = len(nr_basis[0])
     if gf.e == 1:
         return _normalizer_prime(nr_basis, gf, n, guard)
-    rows = [list(mat_vec(b)) for b in nr_basis]
-    rref, pivots = _linalg.fq_rref(rows, gf)
-
-    def in_span(mat):
-        v = list(mat_vec(mat))
-        for row, c in zip(rref, pivots):
-            if v[c]:
-                coef = v[c]
-                v = [gf.sub(x, gf.mul(coef, y)) for x, y in zip(v, row)]
-        return all(x == 0 for x in v)
-
+    echelon = _linalg.fq_rref([mat_vec(b) for b in nr_basis], gf)
     out = []
     for m_ in enumerate_gl(gf, n, guard):
         m_inv = tuple(tuple(r) for r in _linalg.fq_inv([list(r) for r in m_], gf))
-        if all(in_span(mat_mul(gf, mat_mul(gf, m_, b), m_inv)) for b in nr_basis):
+        if all(_linalg.fq_in_span(echelon, mat_vec(mat_mul(gf, mat_mul(gf, m_, b), m_inv)), gf)
+               for b in nr_basis):
             out.append(m_)
     return out
 
@@ -295,117 +287,52 @@ def aut_bruteforce(code: RankCode, gl_guard: int = GL_GUARD_AUT):
         raise EnumerationGuardError(
             "code is the full matrix space; its automorphism set is all of "
             "GL(m,q) x GL(n,q) x Aut(F_q) and is not enumerated")
+    out = []
+    for rho in range(gf.e):
+        b_system = _b_constraints(code, parity, rho)
+        for a_mat in enumerate_gl(gf, m, guard=1 << 30):
+            null = _linalg.fq_nullspace(b_system(a_mat), gf)
+            if not null:
+                continue
+            bs = (vec_mat(v, n, n) for v in _linalg.fq_span(gf, null))
+            for b_mat in sorted(b for b in bs if mat_is_invertible(gf, b)):
+                out.append(AutTriple(a_mat, b_mat, rho))
+    return out
+
+
+def _b_constraints(code, parity, rho):
+    """The map A -> linear system in the n*n entries of B whose nullspace
+    is {B : A X^rho B in the code for every basis matrix X}: one row per
+    (X, dual row H), the coefficient of B[l][j] being sum_i H[i][j] (A X^rho)[i][l].
+    Over a prime F_q the system is one numpy array built by einsum."""
+    gf = code.gf
+    m, n = code.m, code.n
+    xr = [mat_frobenius_p(gf, x, rho) if rho else x for x in code.basis]
     if gf.e == 1:
-        return _aut_bruteforce_prime(code, parity)
-    return _aut_bruteforce_generic(code, parity)
+        p = gf.p
+        hr = np.array(parity, dtype=np.int64).reshape(len(parity), m, n)
+        xs = np.array(xr, dtype=np.int64)
 
+        def system(a_mat):
+            f = np.einsum("ij,tjl->til", np.array(a_mat, dtype=np.int64), xs) % p
+            return np.einsum("rij,til->trlj", hr, f).reshape(-1, n * n) % p
+        return system
 
-def _aut_bruteforce_prime(code, parity):
-    gf = code.gf
-    p = gf.p
-    m, n = code.m, code.n
-    c = len(parity)
-    hr = np.array(parity, dtype=np.int64).reshape(c, m, n)
-    xstack = np.array(code.basis, dtype=np.int64)  # (nk, m, n)
-    out = []
-    for rho in range(gf.e):
-        xr = xstack  # e == 1: identity only
-        for a_mat in enumerate_gl(gf, m, guard=1 << 30):
-            a_np = np.array(a_mat, dtype=np.int64)
-            f = np.einsum("ij,tjl->til", a_np, xr) % p      # (nk, m, n)
-            block = np.einsum("rij,til->trlj", hr, f) % p    # (nk, c, n, n)
-            system = block.reshape(len(xr) * c, n * n)
-            null = _linalg.modp_nullspace(system, p)
-            if not null:
-                continue
-            bs = []
-            for v in _iter_span_modp(null, p):
-                b_mat = tuple(tuple(int(x) for x in v[i * n:(i + 1) * n]) for i in range(n))
-                if mat_is_invertible(gf, b_mat):
-                    bs.append(b_mat)
-            for b_mat in sorted(bs):
-                out.append(AutTriple(a_mat, b_mat, rho))
-    return out
-
-
-def _iter_span_modp(basis, p):
-    """Nonzero vectors of the span of nullspace basis vectors."""
-    dim = len(basis)
-    arr = np.array(basis, dtype=np.int64)
-    digits = [0] * dim
-    cur = np.zeros(arr.shape[1], dtype=np.int64)
-    for _ in range(p ** dim - 1):
-        i = 0
-        while True:
-            digits[i] += 1
-            cur = (cur + arr[i]) % p
-            if digits[i] < p:
-                break
-            digits[i] = 0
-            i += 1
-        yield cur
-
-
-def _aut_bruteforce_generic(code, parity):
-    gf = code.gf
-    m, n = code.m, code.n
-    out = []
-    for rho in range(gf.e):
-        xr = [mat_frobenius_p(gf, x, rho) if rho else x for x in code.basis]
-        for a_mat in enumerate_gl(gf, m, guard=1 << 30):
-            rows = []
-            for x in xr:
-                f = mat_mul(gf, a_mat, x)
-                for hrow in parity:
-                    row = [0] * (n * n)
-                    for l in range(n):
-                        for j in range(n):
-                            acc = 0
-                            for i in range(m):
-                                acc = gf.add(acc, gf.mul(hrow[i * n + j], f[i][l]))
-                            row[l * n + j] = acc
-                    rows.append(row)
-            null = ([tuple(v) for v in _linalg.generic_nullspace(rows, gf)]
-                    if rows else _standard_vectors(gf, n * n))
-            if not null:
-                continue
-            bs = []
-            for v in _iter_span_generic(gf, null):
-                b_mat = tuple(tuple(v[i * n:(i + 1) * n]) for i in range(n))
-                if mat_is_invertible(gf, b_mat):
-                    bs.append(b_mat)
-            for b_mat in sorted(bs):
-                out.append(AutTriple(a_mat, b_mat, rho))
-    return out
-
-
-def _standard_vectors(gf, dim):
-    out = []
-    for i in range(dim):
-        v = [0] * dim
-        v[i] = gf.one
-        out.append(tuple(v))
-    return out
-
-
-def _iter_span_generic(gf, basis):
-    fq = gf.fq_list()
-    q = len(fq)
-    dim = len(basis)
-    deltas = [[tuple(gf.mul(gf.sub(fq[(d + 1) % q], fq[d]), x) for x in vec)
-               for d in range(q)] for vec in basis]
-    digits = [0] * dim
-    cur = [0] * len(basis[0])
-    for _ in range(q ** dim - 1):
-        i = 0
-        while True:
-            d = digits[i]
-            cur = [gf.add(x, y) for x, y in zip(cur, deltas[i][d])]
-            digits[i] = (d + 1) % q
-            if digits[i]:
-                break
-            i += 1
-        yield tuple(cur)
+    def system(a_mat):
+        rows = []
+        for x in xr:
+            f = mat_mul(gf, a_mat, x)
+            for hrow in parity:
+                row = [0] * (n * n)
+                for l in range(n):
+                    for j in range(n):
+                        acc = 0
+                        for i in range(m):
+                            acc = gf.add(acc, gf.mul(hrow[i * n + j], f[i][l]))
+                        row[l * n + j] = acc
+                rows.append(row)
+        return rows
+    return system
 
 
 # ----------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import json
 import random
 import sys
 
-from . import autgroup, nuclei
+from . import _linalg, autgroup, nuclei
 from .errors import (
     EnumerationGuardError,
     FieldTooLargeError,
@@ -37,6 +37,7 @@ from .rankcode import (
     build_gtg,
     is_mrd,
     mat_identity,
+    mat_vec,
     project_code,
     rank_weight_distribution,
 )
@@ -53,8 +54,29 @@ DEFAULT_GUARDS = {
 # ----------------------------------------------------------------------------
 
 def _load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except OSError as exc:
+        raise ParamError(f"cannot read config {path}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParamError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise ParamError(f"config {path} must hold a JSON object")
+    return config
+
+
+def _as_int(value, what):
+    """A config value as an int; ParamError (exit 2, or the sweep row's
+    error column) instead of a ValueError traceback."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParamError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _as_ints(values, what):
+    return [_as_int(v, what) for v in values]
 
 
 def _merge_flags(config, args):
@@ -65,7 +87,7 @@ def _merge_flags(config, args):
         if v is not None:
             field[name] = v
     if getattr(args, "modulus", None):
-        field["modulus"] = [int(x) for x in args.modulus.split(",")]
+        field["modulus"] = args.modulus.split(",")
     for name in ("m", "k", "s", "h"):
         v = getattr(args, name, None)
         if v is not None:
@@ -86,6 +108,8 @@ def _merge_flags(config, args):
 def _guards(config):
     out = dict(DEFAULT_GUARDS)
     out.update(config.get("guards", {}))
+    for key in DEFAULT_GUARDS:
+        out[key] = _as_int(out[key], f"guards.{key}")
     if out.get("unsafe"):
         big = 1 << 62
         out.update(max_codewords=big, max_gl=big, max_field=big)
@@ -97,14 +121,17 @@ def resolve_field(config, guards):
     for key in ("p", "e", "n"):
         if key not in fcfg:
             raise ParamError(f"config is missing field.{key}")
-    return field_create(int(fcfg["p"]), int(fcfg["e"]), int(fcfg["n"]),
-                        fcfg.get("modulus"), max_order=guards["max_field"])
+    p, e, n = (_as_int(fcfg[key], f"field.{key}") for key in ("p", "e", "n"))
+    modulus = fcfg.get("modulus")
+    if modulus is not None:
+        modulus = _as_ints(modulus, "field.modulus")
+    return field_create(p, e, n, modulus, max_order=guards["max_field"])
 
 
 def resolve_eta(gf, selector):
     """Eta selector: "0", "nonsquare-min", or an F_p digit vector."""
     if isinstance(selector, (list, tuple)):
-        return gf.from_coords(selector)
+        return gf.from_coords(_as_ints(selector, "eta digit"))
     text = str(selector)
     if text == "0":
         return 0
@@ -115,7 +142,7 @@ def resolve_eta(gf, selector):
                 "is a square")
         return gf.generator  # xi = xi^1, the smallest odd generator exponent
     if text.startswith("digits:"):
-        return gf.from_coords([int(x) for x in text[len("digits:"):].split(",")])
+        return gf.from_coords(_as_ints(text[len("digits:"):].split(","), "eta digit"))
     raise ParamError(f"unrecognized eta selector {selector!r}")
 
 
@@ -124,32 +151,23 @@ def resolve_subspace(gf, selector, m):
     (semicolon-separated digit vectors).  Returns a SubspaceSpec with m
     elements; generic and subfield presets always start with 1."""
     if isinstance(selector, (list, tuple)):
-        alphas = [gf.from_coords(v) for v in selector]
+        alphas = [gf.from_coords(_as_ints(v, "subspace digit")) for v in selector]
         return subspace_poly(gf, alphas)
     text = str(selector)
     if text.startswith("generic:"):
-        seed = int(text.split(":", 1)[1])
-        alphas = [gf.one]
-        span = set()
-        for c in gf.fq_list():
-            span.add(gf.mul(c, gf.one))
+        seed = _as_int(text.split(":", 1)[1], "generic preset seed")
+        S = subspace_poly(gf, [gf.one])
         j = seed
-        while len(alphas) < m:
+        while S.m < m:
             j += 1
             if j > seed + gf.order:
                 raise ParamError(f"generic preset could not reach m = {m} elements")
             cand = gf.pow(gf.generator, j)
-            if cand in span:
-                continue
-            new = set(span)
-            for c in gf.fq_list():
-                cc = gf.mul(c, cand)
-                new.update(gf.add(x, cc) for x in span)
-            span = new
-            alphas.append(cand)
-        return subspace_poly(gf, alphas)
+            if S.theta_eval(cand) != 0:  # theta_S vanishes exactly on U_S
+                S = subspace_poly(gf, S.alphas + (cand,))
+        return S
     if text.startswith("subfield:"):
-        ell = int(text.split(":", 1)[1])
+        ell = _as_int(text.split(":", 1)[1], "subfield preset ell")
         if ell != m:
             raise ParamError(f"subfield:{ell} preset needs m = {ell}, got m = {m}")
         if gf.n % ell != 0:
@@ -158,7 +176,7 @@ def resolve_subspace(gf, selector, m):
         return subspace_poly(gf, basis)
     if text.startswith("elems:"):
         vecs = [v for v in text[len("elems:"):].split(";") if v]
-        alphas = [gf.from_coords([int(x) for x in v.split(",")]) for v in vecs]
+        alphas = [gf.from_coords(_as_ints(v.split(","), "subspace digit")) for v in vecs]
         return subspace_poly(gf, alphas)
     raise ParamError(f"unrecognized subspace selector {selector!r}")
 
@@ -169,9 +187,8 @@ def resolve_instance(config, guards):
     for key in ("m", "k", "s"):
         if key not in pcfg:
             raise ParamError(f"config is missing params.{key}")
-    eta = resolve_eta(gf, pcfg.get("eta", "0"))
-    params = CodeParams(gf, int(pcfg["m"]), int(pcfg["k"]), int(pcfg["s"]),
-                        int(pcfg.get("h", 0)), eta)
+    m, k, s, h = (_as_int(pcfg.get(key, 0), f"params.{key}") for key in ("m", "k", "s", "h"))
+    params = CodeParams(gf, m, k, s, h, resolve_eta(gf, pcfg.get("eta", "0")))
     S = resolve_subspace(gf, config.get("subspace", "generic:0"), params.m)
     if S.m != params.m:
         raise ParamError(f"subspace has {S.m} elements but m = {params.m}")
@@ -204,13 +221,9 @@ def cmd_construct(config) -> int:
         "code": code.serialize(),
     }
     if "mrd" in config.get("tasks", []):
-        hist = rank_weight_distribution(code, guards["max_codewords"])
-        d = next(i for i, c in enumerate(hist) if i > 0 and c)
-        bound = gf.q ** (max(code.m, code.n) * (min(code.m, code.n) - d + 1))
-        payload["mrd"] = {"is_mrd": code.cardinality == bound, "d": d,
-                          "cardinality": str(code.cardinality),
-                          "bound": str(bound),
-                          "rank_weights": hist}
+        verdict, cert = is_mrd(code, guards["max_codewords"])
+        payload["mrd"] = dict(cert, is_mrd=verdict, cardinality=str(cert["cardinality"]),
+                              bound=str(cert["bound"]))
     _emit(config, payload)
     return 0
 
@@ -221,17 +234,13 @@ def cmd_nuclei(config) -> int:
     code = project_code(build_gtg(params), S)
     middle = nuclei.middle_report(params, S, code)
     right = nuclei.right_report(params, S, code)
-    # internal consistency: both nuclei must contain the F_q scalars
+    # internal consistency: both nuclei must contain the F_q scalars, that
+    # is (being F_q-spans) the identity
     for rep, size in ((middle, params.m), (right, gf.n)):
-        scalars = [tuple(tuple(gf.mul(c, x) for x in row) for row in mat_identity(gf, size))
-                   for c in gf.fq_list() if c]
-        rows = [list(x for r in b for x in r) for b in rep.bruteforce_basis]
-        from ._linalg import fq_rank
-        for sc in scalars:
-            vec = [x for r in sc for x in r]
-            if fq_rank(rows + [vec], gf) != len(rows):
-                sys.stderr.write("selfcheck failure: nucleus misses a scalar\n")
-                return 4
+        echelon = _linalg.fq_rref([mat_vec(b) for b in rep.bruteforce_basis], gf)
+        if not _linalg.fq_in_span(echelon, mat_vec(mat_identity(gf, size)), gf):
+            sys.stderr.write("selfcheck failure: nucleus misses a scalar\n")
+            return 4
     mid_field = nuclei.nucleus_field_structure(middle, gf)
     right_field = nuclei.nucleus_field_structure(right, gf)
     payload = {
@@ -518,15 +527,15 @@ def main(argv=None) -> int:
     if args.verb == "selfcheck":
         return run_selfcheck()
 
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
-    if args.verb == "sweep":
-        if getattr(args, "output", None) is not None:
-            config.setdefault("output", {})["path"] = args.output
-        if getattr(args, "unsafe_limits", False):
-            config.setdefault("guards", {})["unsafe"] = True
-        return cmd_sweep(config)
-    config = _merge_flags(config, args)
     try:
+        config = _load_config(args.config) if getattr(args, "config", None) else {}
+        if args.verb == "sweep":
+            if getattr(args, "output", None) is not None:
+                config.setdefault("output", {})["path"] = args.output
+            if getattr(args, "unsafe_limits", False):
+                config.setdefault("guards", {})["unsafe"] = True
+            return cmd_sweep(config)
+        config = _merge_flags(config, args)
         if args.verb == "construct":
             return cmd_construct(config)
         if args.verb == "nuclei":

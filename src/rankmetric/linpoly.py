@@ -61,14 +61,7 @@ class LinearizedPoly:
         return cls.monomial(gf, gf.one, 0)
 
     def __call__(self, x):
-        gf = self.gf
-        out = 0
-        y = x
-        for c in self.coeffs:
-            if c:
-                out = gf.add(out, gf.mul(c, y))
-            y = gf.frobenius(y, 1)
-        return out
+        return _lin_eval(self.gf, self.coeffs, x)
 
     def __add__(self, other):
         self.gf.check_same(other.gf)
@@ -134,6 +127,17 @@ class LinearizedPoly:
         return " + ".join(terms) if terms else "0"
 
 
+def _lin_eval(gf, coeffs, x):
+    """sum_i coeffs[i] x^(q^i), the one evaluation loop for linearized
+    polynomials of any length (theta_S has m + 1 coefficients)."""
+    out, y = 0, x
+    for c in coeffs:
+        if c:
+            out = gf.add(out, gf.mul(c, y))
+        y = gf.frobenius(y, 1)
+    return out
+
+
 def lp_eval(f: LinearizedPoly, x: int) -> int:
     return f(x)
 
@@ -175,13 +179,8 @@ class SubspaceSpec:
         return frozenset(self.subspace())
 
     def theta_eval(self, x: int) -> int:
-        gf = self.gf
-        out, y = 0, x
-        for c in self.theta:
-            if c:
-                out = gf.add(out, gf.mul(c, y))
-            y = gf.frobenius(y, 1)
-        return out
+        """theta_S(x); zero exactly on U_S."""
+        return _lin_eval(self.gf, self.theta, x)
 
     def theta_poly(self) -> LinearizedPoly:
         """theta_S as a reduced linearized polynomial (zero when m = n)."""
@@ -260,7 +259,7 @@ def subspace_poly(gf, alphas) -> SubspaceSpec:
         raise DependentSetError(f"m = {len(alphas)} exceeds n = {gf.n}")
     theta = [gf.one]  # theta of the zero space is X
     for a in alphas:
-        v = _theta_eval_coeffs(gf, theta, a)
+        v = _lin_eval(gf, theta, a)
         if v == 0:
             raise DependentSetError("set is F_q-linearly dependent")
         scale = gf.pow(v, gf.q - 1)
@@ -270,15 +269,6 @@ def subspace_poly(gf, alphas) -> SubspaceSpec:
             new[i] = gf.sub(new[i], gf.mul(scale, c))
         theta = new
     return SubspaceSpec(gf, alphas, theta)
-
-
-def _theta_eval_coeffs(gf, coeffs, x):
-    out, y = 0, x
-    for c in coeffs:
-        if c:
-            out = gf.add(out, gf.mul(c, y))
-        y = gf.frobenius(y, 1)
-    return out
 
 
 def _matvec(mat, vec, gf):

@@ -45,24 +45,24 @@ from .linpoly import (
     poly_to_matrix,
     subspace_poly,
 )
-from .rankcode import RankCode, CodeParams, build_gtg, project_code, mat_vec, vec_mat, mat_rank, mat_mul
+from .rankcode import (
+    CodeParams,
+    RankCode,
+    build_gtg,
+    mat_identity,
+    mat_mul,
+    mat_rank,
+    mat_vec,
+    project_code,
+    vec_mat,
+)
 
 SPAN_GUARD = 1 << 20
-_ELEMENTWISE_CAP = 1 << 13
 
 
 # ----------------------------------------------------------------------------
 # brute force
 # ----------------------------------------------------------------------------
-
-def _standard_basis(gf, dim):
-    out = []
-    for i in range(dim):
-        v = [0] * dim
-        v[i] = gf.one
-        out.append(tuple(v))
-    return out
-
 
 def _nucleus_solve(code: RankCode, side: str):
     """Nullspace of the membership constraints; side 'middle' or 'right'."""
@@ -71,23 +71,17 @@ def _nucleus_solve(code: RankCode, side: str):
     unknowns = m * m if side == "middle" else n * n
     parity = code.parity_rows()
     if not parity:
-        return _standard_basis(gf, unknowns)
+        return list(mat_identity(gf, unknowns))
     if gf.e == 1:
-        p = gf.p
         hr = np.array(parity, dtype=np.int64).reshape(len(parity), m, n)
-        blocks = []
-        for b in code.basis:
-            bnp = np.array(b, dtype=np.int64)
-            if side == "middle":
-                # unknown Z (i,l):  sum_j H[r,i,j] B[l,j]
-                block = np.einsum("rij,lj->ril", hr, bnp) % p
-                blocks.append(block.reshape(len(parity), m * m))
-            else:
-                # unknown Y (l,j):  sum_i H[r,i,j] B[i,l]
-                block = np.einsum("rij,il->rlj", hr, bnp) % p
-                blocks.append(block.reshape(len(parity), n * n))
-        system = np.concatenate(blocks, axis=0)
-        return [tuple(int(x) for x in v) for v in _linalg.modp_nullspace(system, p)]
+        bs = np.array(code.basis, dtype=np.int64)
+        if side == "middle":
+            # unknown Z (i,l):  sum_j H[r,i,j] B_t[l,j]
+            block = np.einsum("rij,tlj->tril", hr, bs)
+        else:
+            # unknown Y (l,j):  sum_i H[r,i,j] B_t[i,l]
+            block = np.einsum("rij,til->trlj", hr, bs)
+        return _linalg.fq_nullspace(block.reshape(-1, unknowns) % gf.p, gf)
     rows = []
     for b in code.basis:
         for hrow in parity:
@@ -108,7 +102,7 @@ def _nucleus_solve(code: RankCode, side: str):
                             acc = gf.add(acc, gf.mul(hrow[i * n + j], b[i][l]))
                         row[l * n + j] = acc
             rows.append(row)
-    return [tuple(v) for v in _linalg.generic_nullspace(rows, gf)]
+    return _linalg.fq_nullspace(rows, gf)
 
 
 def span_matrices(gf, basis, cap=SPAN_GUARD):
@@ -119,34 +113,15 @@ def span_matrices(gf, basis, cap=SPAN_GUARD):
         raise EnumerationGuardError(
             f"span has q^{len(basis)} elements, above cap {cap}")
     rows, cols = len(basis[0]), len(basis[0][0])
-    from .rankcode import mat_add, mat_scale, mat_zero
-    out = {mat_zero(rows, cols)}
-    for b in basis:
-        layer = set()
-        for c in gf.fq_list():
-            cb = mat_scale(gf, c, b)
-            for x in out:
-                layer.add(mat_add(gf, x, cb))
-        out = layer
-    return frozenset(out)
+    return frozenset(vec_mat(v, rows, cols)
+                     for v in _linalg.fq_span(gf, [mat_vec(b) for b in basis]))
 
 
 def spans_equal(gf, basis_a, basis_b) -> bool:
-    """Set equality of two F_q-spans of matrices."""
-    if len(basis_a) != len(basis_b):
-        va = [list(mat_vec(b)) for b in basis_a]
-        vb = [list(mat_vec(b)) for b in basis_b]
-        if _linalg.fq_rank(va, gf) != _linalg.fq_rank(vb, gf):
-            return False
-    dim = gf.q ** max(len(basis_a), 1)
-    if dim <= _ELEMENTWISE_CAP and gf.q ** max(len(basis_b), 1) <= _ELEMENTWISE_CAP:
-        return span_matrices(gf, basis_a) == span_matrices(gf, basis_b)
-    rows = [list(mat_vec(b)) for b in basis_a]
-    rank_a = _linalg.fq_rank(rows, gf)
-    if rank_a != _linalg.fq_rank([list(mat_vec(b)) for b in basis_b], gf):
-        return False
-    joint = rows + [list(mat_vec(b)) for b in basis_b]
-    return _linalg.fq_rank(joint, gf) == rank_a
+    """Set equality of two F_q-spans of matrices: rank A = rank B = rank(A u B)."""
+    va = [mat_vec(b) for b in basis_a]
+    vb = [mat_vec(b) for b in basis_b]
+    return _linalg.fq_rank(va, gf) == _linalg.fq_rank(vb, gf) == _linalg.fq_rank(va + vb, gf)
 
 
 # ----------------------------------------------------------------------------
@@ -411,24 +386,12 @@ def nucleus_field_structure(report_or_basis, gf, cap=SPAN_GUARD):
     if not basis:
         return False, None
     size = len(basis[0])
-    from .rankcode import mat_identity
-    rows = [list(mat_vec(b)) for b in basis]
-    rref, pivots = _linalg.fq_rref(rows, gf)
-
-    def in_span(mat):
-        v = list(mat_vec(mat))
-        for row, c in zip(rref, pivots):
-            if v[c]:
-                coef = v[c]
-                v = [gf.sub(x, gf.mul(coef, y)) for x, y in zip(v, row)]
-        return all(x == 0 for x in v)
-
-    if not in_span(mat_identity(gf, size)):
+    echelon = _linalg.fq_rref([mat_vec(b) for b in basis], gf)
+    if not _linalg.fq_in_span(echelon, mat_vec(mat_identity(gf, size)), gf):
         return False, None
-    for a in basis:
-        for b in basis:
-            if not in_span(mat_mul(gf, a, b)):
-                return False, None
+    if not all(_linalg.fq_in_span(echelon, mat_vec(mat_mul(gf, a, b)), gf)
+               for a in basis for b in basis):
+        return False, None
     elements = span_matrices(gf, basis, cap)
     zero = tuple((0,) * size for _ in range(size))
     for x in elements:

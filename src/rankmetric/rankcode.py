@@ -46,9 +46,6 @@ def mat_zero(rows, cols):
 def mat_identity(gf, n):
     return tuple(tuple(gf.one if i == j else 0 for j in range(n)) for i in range(n))
 
-def mat_add(gf, a, b):
-    return tuple(tuple(gf.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
 def mat_sub(gf, a, b):
     return tuple(tuple(gf.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -77,7 +74,7 @@ def mat_frobenius_p(gf, a, j):
     return tuple(tuple(gf.frobenius_p(x, j) for x in row) for row in a)
 
 def mat_rank(gf, a):
-    return _linalg.fq_rank([list(r) for r in a], gf)
+    return _linalg.fq_rank(a, gf)
 
 def mat_is_invertible(gf, a):
     return len(a) == len(a[0]) and mat_rank(gf, a) == len(a)
@@ -212,48 +209,25 @@ class RankCode:
         return self._parity
 
     def contains(self, mat) -> bool:
-        gf = self.gf
-        v = list(mat_vec(mat))
-        rref, pivots = self._rref_data()
-        for row, c in zip(rref, pivots):
-            if v[c]:
-                coef = v[c]
-                v = [gf.sub(x, gf.mul(coef, y)) for x, y in zip(v, row)]
-        return all(x == 0 for x in v)
+        return _linalg.fq_in_span(self._rref_data(), mat_vec(mat), self.gf)
 
     def codewords(self, include_zero=True, guard=ENUM_GUARD):
-        """Stream all codewords by odometer over F_q^dim.  Stepping digit
-        i from value d to d+1 adds (fq[d+1] - fq[d]) * B_i, so arbitrary
-        F_q scalars are covered, not just integer multiples."""
-        gf = self.gf
+        """Stream all codewords in the ``_linalg.fq_span`` odometer order
+        over the basis coefficients: the zero word first, the coefficient
+        of basis matrix 0 fastest."""
         if self.cardinality > guard:
             raise EnumerationGuardError(
                 f"q^dim = {self.cardinality} exceeds guard {guard}")
-        fq = gf.fq_list()
-        q = len(fq)
-        deltas = []
-        for b in self.basis:
-            deltas.append([mat_scale(gf, gf.sub(fq[(d + 1) % q], fq[d]), b)
-                           for d in range(q)])
-        cur = [list(row) for row in mat_zero(self.m, self.n)]
-        if include_zero:
-            yield tuple(tuple(r) for r in cur)
-        digits = [0] * self.dim
-        total = self.cardinality
-        for _ in range(total - 1):
-            i = 0
-            while True:
-                d = digits[i]
-                step = deltas[i][d]
-                for r in range(self.m):
-                    row, srow = cur[r], step[r]
-                    for c_ in range(self.n):
-                        row[c_] = gf.add(row[c_], srow[c_])
-                digits[i] = (d + 1) % q
-                if digits[i]:
-                    break
-                i += 1
-            yield tuple(tuple(r) for r in cur)
+        m, n = self.m, self.n
+        if not self.basis:
+            words = iter([mat_vec(mat_zero(m, n))])
+        else:
+            words = _linalg.fq_span(self.gf, [mat_vec(b) for b in self.basis])
+        if not include_zero:
+            next(words)
+        rows = [slice(r * n, (r + 1) * n) for r in range(m)]
+        for v in words:
+            yield tuple([v[r] for r in rows])
 
     def serialize(self) -> dict:
         gf = self.gf
@@ -411,20 +385,21 @@ def rank_weight_distribution(code: RankCode, guard=ENUM_GUARD) -> list:
 
 def min_distance(code: RankCode, guard=ENUM_GUARD) -> int:
     """Minimum rank over the q^dim - 1 nonzero codewords (exhaustive)."""
-    hist = rank_weight_distribution(code, guard)
-    for d, count in enumerate(hist):
-        if d > 0 and count:
-            return d
-    raise ParamError("code has no nonzero codeword")
+    return is_mrd(code, guard)[1]["d"]
 
 
 def is_mrd(code: RankCode, guard=ENUM_GUARD):
     """Singleton-bound check: #code = q^(max(m,n) (min(m,n) - d + 1))?
-    Returns (verdict, certificate)."""
-    d = min_distance(code, guard)
+    Returns (verdict, certificate); the certificate holds the minimum
+    distance d, the cardinality, the bound and the rank-weight histogram
+    (``rank_weights``, indexed 0..min(m, n)) it was read from."""
+    hist = rank_weight_distribution(code, guard)
+    d = next((i for i, count in enumerate(hist) if i > 0 and count), None)
+    if d is None:
+        raise ParamError("code has no nonzero codeword")
     m, n, q = code.m, code.n, code.gf.q
     bound = q ** (max(m, n) * (min(m, n) - d + 1))
-    cert = {"d": d, "cardinality": code.cardinality, "bound": bound}
+    cert = {"d": d, "cardinality": code.cardinality, "bound": bound, "rank_weights": hist}
     return code.cardinality == bound, cert
 
 

@@ -262,3 +262,19 @@ def test_normalizer_exponent_class_confinement(f16):
     for _ in range(300):
         a, b = rng.choice(norm), rng.choice(norm)
         assert mat_mul(f16, a, b) in norm_set
+
+
+def test_generic_backend_aut_over_f4():
+    # F_{4^3}: e = 2, so the search runs the Python constraint builder and
+    # both field automorphisms rho = 0, 1 of F_4
+    f64q4 = field_create(2, 2, 3)
+    params = CodeParams(f64q4, 2, 1, 1, 0, 0)
+    S = subspace_poly(f64q4, [1, f64q4.generator])
+    code = project_code(build_gtg(params), S)
+    group = aut_bruteforce(code)
+    assert len(group) == 1134
+    assert {t.rho for t in group} == {0, 1}
+    assert all(code.contains(triple_acts(f64q4, t, X)) for t in group for X in code.basis)
+    known = generate_known_automorphisms(params, S, code)
+    assert len(known) == 567
+    assert set(known) <= set(group)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rankmetric.cli import main
 
 
@@ -212,3 +214,55 @@ def test_flags_override_config(tmp_path):
     blob = json.loads(out.read_text())
     assert blob["params"]["h"] == 2
     assert blob["params"]["eta"] != [0, 0, 0, 0]
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    rc = run(["construct", "--config", str(tmp_path / "missing.json")])
+    assert rc == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"field": {"p": 3,', '[3, 1, 4]'], ids=["truncated", "not-an-object"])
+def test_malformed_config_file_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    rc = run(["nuclei", "--config", str(cfg)])
+    assert rc == 2
+    assert "invalid configuration: ParamError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, args", [
+    ("field", "p", []),
+    ("params", "m", []),
+    ("guards", "max_codewords", []),
+    ("field", "modulus", ["--modulus", "1,x,0,0,1"]),
+])
+def test_non_integer_config_value_exits_2(tmp_path, capsys, section, key, args):
+    config = {
+        "field": {"p": 3, "e": 1, "n": 4},
+        "params": {"m": 3, "k": 1, "s": 1, "h": 0, "eta": "0"},
+        "tasks": ["mrd"],
+        "guards": {},
+    }
+    if not args:
+        config[section][key] = "x"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = run(["construct", "--config", str(cfg), "--output", "-"] + args)
+    assert rc == 2
+    assert f"{section}.{key} must be an integer" in capsys.readouterr().err
+
+
+def test_sweep_bad_eta_digits_lands_in_error_column(tmp_path):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"grid": {
+        "p": [3], "e": [1], "n": [4], "m": [3], "k": [1], "s": [1],
+        "h": [1], "eta": ["digits:x", "0"], "subspace": ["generic:0"],
+    }}))
+    out = tmp_path / "err.csv"
+    assert run(["sweep", "--config", str(cfg), "--output", str(out)]) == 0
+    import csv
+    with open(out) as fh:
+        by_eta = {r["eta"]: r for r in csv.DictReader(fh)}
+    assert by_eta["0"]["error"] == "" and by_eta["0"]["mrd"] == "True"
+    assert "ParamError" in by_eta["digits:x"]["error"]
