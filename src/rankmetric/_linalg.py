@@ -5,7 +5,13 @@ Two layers:
 
 * ``modp_*`` functions work on numpy integer arrays over a prime field
   F_p (entries 0..p-1).  ``modp_rref`` is the single elimination loop;
-  rank, nullspace, inverse and the reduction transform are read off it.
+  it takes one matrix (R, C) or a stack (G, R, C) and eliminates a
+  stack column by column with one vectorised update per column.  Rank,
+  nullspace and inverse are read off it for a matrix or per matrix of a
+  stack, the reduction transform for a matrix.  ``modp_span`` builds a
+  span as stacked chunks (digits @ basis mod p), so a span's elements
+  can be ranked a chunk at a time.  Callers keep every stack under
+  STACK_BUDGET entries (``stack_chunks``), which bounds peak memory.
 * ``generic_*`` functions take rows of packed field elements together
   with a FieldSpec-like ops object and run schoolbook Gaussian
   elimination with its ``add``/``mul``/``inv``.  They are used both for
@@ -17,18 +23,22 @@ spec.  ``fq_rref``, ``fq_rank``, ``fq_nullspace`` and ``fq_inv`` pick
 the numpy path when F_q is prime and fall back to the generic path
 otherwise; ``fq_in_span`` tests membership in the row span of an
 ``fq_rref`` result and ``fq_span`` streams a span in a fixed odometer
-order.  All canonical outputs (RREF, nullspace bases, span order) are
-deterministic.
+order, the order ``modp_span`` keeps.  All canonical outputs (RREF,
+nullspace bases, span order) are deterministic.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
 
 import numpy as np
 
 from .errors import SingularMatrixError
 
 __all__ = [
-    "modp_rref", "modp_rank", "modp_nullspace", "modp_inv", "modp_reduction",
+    "STACK_BUDGET", "stack_chunks",
+    "modp_rref", "modp_rank", "modp_nullspace", "modp_inv", "modp_reduction", "modp_span",
     "generic_rref", "generic_rank", "generic_nullspace", "generic_inv",
     "fq_rref", "fq_rank", "fq_nullspace", "fq_inv", "fq_in_span", "fq_span",
 ]
@@ -38,60 +48,133 @@ __all__ = [
 # prime field, numpy
 # ----------------------------------------------------------------------------
 
+# Largest number of entries of one stacked array.  Callers chunk their
+# stacks to stay under it, which bounds the batched elimination's
+# temporaries (each the size of its input) and so the peak memory.
+STACK_BUDGET = 1 << 14
+
+
+def stack_chunks(items, per_item):
+    """Split ``items`` into lists whose stacks, ``per_item`` entries per
+    item, stay under STACK_BUDGET (at least one item per list)."""
+    it = iter(items)
+    size = max(1, STACK_BUDGET // max(per_item, 1))
+    while chunk := list(itertools.islice(it, size)):
+        yield chunk
+
+
+def _fermat_inverse(x, p):
+    """Elementwise x^(p-2) mod p: the inverse of every nonzero entry."""
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        e >>= 1
+        if e:
+            x = x * x % p
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _inverse_table(p):
+    table = _fermat_inverse(np.arange(p, dtype=np.int64), p)
+    table.flags.writeable = False
+    return table
+
+
+def _inverse(x, p):
+    """Inverses mod p of the nonzero entries of x; a table lookup for
+    p <= 2^12, where the table is small."""
+    return _inverse_table(p)[x] if p <= 1 << 12 else _fermat_inverse(x, p)
+
+
 def modp_rref(a, p, ncols=None):
-    """Reduced row echelon form mod p.  Returns (R, pivot_columns).  With
-    ``ncols`` only the first ``ncols`` columns are pivot candidates; the
-    columns to their right are carried along by the row operations."""
-    r = np.array(a, dtype=np.int64) % p
-    nrows = r.shape[0]
-    pivots = []
-    row = 0
-    for col in range(r.shape[1] if ncols is None else ncols):
-        if row >= nrows:
-            break
-        nz = np.nonzero(r[row:, col])[0]
-        if nz.size == 0:
+    """Reduced row echelon form mod p of a matrix (R, C), or of every
+    matrix of a stack (G, R, C), eliminated together column by column.
+
+    Returns (R, pivots).  For a matrix, ``pivots`` is the list of pivot
+    columns; for a stack, a (G, R) array holding the pivot column of each
+    row of each RREF, -1 for a zero row.  With ``ncols`` only the first
+    ``ncols`` columns are pivot candidates; the columns to their right
+    are carried along by the row operations.
+
+    Each column takes a pivot row per matrix among the rows holding no
+    pivot yet and clears the column in all other rows with one update of
+    the whole stack.  Rows are sorted by pivot column at the end; the
+    RREF is unique, so the choice of pivot row does not show."""
+    r = np.array(a, dtype=np.int64)
+    r %= p
+    single = r.ndim == 2
+    if single:
+        r = r[None]
+    g, nrows, width = r.shape
+    ncols = width if ncols is None else ncols
+    mats, rows = np.arange(g), np.arange(nrows)
+    pivots = np.full((g, nrows), ncols)  # ncols: the row holds no pivot yet
+    full = 0  # columns in which every matrix took a pivot
+    for col in range(ncols if nrows else 0):
+        c = r[:, :, col]
+        cand = c * (pivots == ncols)
+        pr = cand.argmax(axis=1)
+        pv = cand[mats, pr]
+        hit = pv != 0
+        hits = np.count_nonzero(hit)
+        if not hits:
             continue
-        pr = row + int(nz[0])
-        if pr != row:
-            r[[row, pr]] = r[[pr, row]]
-        r[row] = (r[row] * pow(int(r[row, col]), -1, p)) % p
-        other = np.nonzero(r[:, col])[0]
-        for i in other:
-            if i != row:
-                r[i] = (r[i] - r[i, col] * r[row]) % p
-        pivots.append(col)
-        row += 1
+        prow = r[mats, pr] * _inverse(pv, p)[:, None] % p
+        onehot = (rows == pr[:, None]) & hit[:, None]
+        # the pivot row becomes prow, every other row loses c * prow
+        r -= (c * hit[:, None] - onehot)[:, :, None] * prow[:, None, :]
+        r %= p
+        pivots[onehot] = col
+        full += hits == g
+        if full == nrows:
+            break
+    order = np.argsort(pivots, axis=1, kind="stable")
+    r, pivots = r[mats[:, None], order], pivots[mats[:, None], order]
+    if single:
+        return r[0], [int(c) for c in pivots[0] if c < ncols]
+    pivots[pivots == ncols] = -1
     return r, pivots
 
 
 def modp_rank(a, p):
-    return len(modp_rref(a, p)[1])
+    """Rank mod p; for a stack, the array of the ranks of its matrices."""
+    r, pivots = modp_rref(a, p)
+    return len(pivots) if r.ndim == 2 else (pivots >= 0).sum(axis=1)
+
+
+def _null_basis(r, pivots, p):
+    free = [c for c in range(r.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), r.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -r[:len(pivots), free].T % p
+    return list(basis)
 
 
 def modp_nullspace(a, p):
-    """Canonical basis of {x : a x = 0}, one vector per free column."""
+    """Canonical basis of {x : a x = 0}, one vector per free column; for
+    a stack, the list of the bases of its matrices, read off the stacked
+    RREF only for the matrices with nonzero nullity."""
     r, pivots = modp_rref(a, p)
-    ncols = r.shape[1]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = np.zeros(ncols, dtype=np.int64)
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-r[i, f]) % p
-        basis.append(v)
-    return basis
+    if r.ndim == 2:
+        return _null_basis(r, pivots, p)
+    out = [[] for _ in range(len(r))]
+    for k in np.flatnonzero((pivots >= 0).sum(axis=1) < r.shape[2]):
+        out[k] = _null_basis(r[k], [int(c) for c in pivots[k] if c >= 0], p)
+    return out
 
 
 def modp_inv(a, p):
-    a = np.array(a, dtype=np.int64) % p
-    n = a.shape[0]
-    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-    r, pivots = modp_rref(aug, p)
-    if pivots[:n] != list(range(n)):
+    """Inverse mod p of a square matrix, or of every matrix of a stack."""
+    a = np.asarray(a, dtype=np.int64)
+    n = a.shape[-1]
+    eye = np.broadcast_to(np.eye(n, dtype=np.int64), a.shape)
+    r, pivots = modp_rref(np.concatenate([a, eye], axis=-1), p, n)
+    if not (len(pivots) == n if r.ndim == 2 else (pivots >= 0).all()):
         raise SingularMatrixError("matrix is singular mod %d" % p)
-    return r[:, n:]
+    return r[..., n:]
 
 
 def modp_reduction(a, p):
@@ -101,6 +184,20 @@ def modp_reduction(a, p):
     aug = np.concatenate([a, np.eye(nrows, dtype=np.int64)], axis=1)
     raug, pivots = modp_rref(aug, p, ncols)
     return raug[:, :ncols], raug[:, ncols:], pivots
+
+
+def modp_span(basis, p):
+    """The p^k F_p-combinations of the k rows of ``basis``, in the
+    ``fq_span`` order (combination t has coefficient digit_i(t), base p
+    and digit 0 fastest, on row i), as stacked chunks of rows that stay
+    under STACK_BUDGET entries."""
+    basis = np.asarray(basis, dtype=np.int64)
+    k, width = basis.shape
+    powers = p ** np.arange(k, dtype=np.int64)
+    step = max(1, STACK_BUDGET // max(width, 1))
+    for start in range(0, p ** k, step):
+        t = np.arange(start, min(start + step, p ** k), dtype=np.int64)
+        yield (t[:, None] // powers % p) @ basis % p
 
 
 # ----------------------------------------------------------------------------

@@ -242,28 +242,22 @@ def normalizer_elements(nr_basis, gf, guard: int = GL_GUARD_NORMALIZER):
 
 
 def _normalizer_prime(nr_basis, gf, n, guard):
-    # membership in the span via its dual: v in N iff H v = 0
+    # membership in the span via its dual: v in N iff H v = 0; chunks of
+    # GL are inverted and conjugated as stacks, in enumeration order
     p = gf.p
-    rows = np.array([mat_vec(b) for b in nr_basis], dtype=np.int64)
-    dual = _linalg.modp_nullspace(rows, p)
-    h = np.array(dual, dtype=np.int64) if dual else None
-    basis_np = [np.array(b, dtype=np.int64) for b in nr_basis]
+    basis = np.array(nr_basis, dtype=np.int64)
+    dual = _linalg.modp_nullspace(basis.reshape(len(nr_basis), n * n), p)
+    if not dual:
+        return list(enumerate_gl(gf, n, guard))
+    h = np.array(dual)
     out = []
-    for m_ in enumerate_gl(gf, n, guard):
-        m_np = np.array(m_, dtype=np.int64)
-        try:
-            m_inv = _linalg.modp_inv(m_np, p)
-        except Exception:  # pragma: no cover - enumerate_gl yields invertibles
-            continue
-        ok = True
-        if h is not None:
-            for b in basis_np:
-                conj = (m_np @ b % p) @ m_inv % p
-                if (h @ conj.reshape(-1) % p).any():
-                    ok = False
-                    break
-        if ok:
-            out.append(m_)
+    per_m = max(2, len(nr_basis)) * n * n
+    for chunk in _linalg.stack_chunks(enumerate_gl(gf, n, guard), per_m):
+        ms = np.array(chunk, dtype=np.int64)
+        left = np.einsum("gij,bjk->gbik", ms, basis) % p
+        conj = left @ _linalg.modp_inv(ms, p)[:, None] % p
+        outside = (conj.reshape(len(chunk), len(nr_basis), n * n) @ h.T % p).any(axis=(1, 2))
+        out.extend(m_ for m_, bad in zip(chunk, outside) if not bad)
     return out
 
 
@@ -283,28 +277,55 @@ def aut_bruteforce(code: RankCode, gl_guard: int = GL_GUARD_AUT):
         raise EnumerationGuardError(
             f"|GL({m},{gf.q})| = {size} exceeds guard {gl_guard}")
     parity = code.parity_rows()
-    if not parity:
+    if not code.basis or not parity:
         raise EnumerationGuardError(
-            "code is the full matrix space; its automorphism set is all of "
-            "GL(m,q) x GL(n,q) x Aut(F_q) and is not enumerated")
+            f"code is {'the zero code' if not code.basis else 'the full matrix space'}; "
+            "its automorphism set is all of GL(m,q) x GL(n,q) x Aut(F_q) and is not enumerated")
     out = []
     for rho in range(gf.e):
-        b_system = _b_constraints(code, parity, rho)
-        for a_mat in enumerate_gl(gf, m, guard=1 << 30):
-            null = _linalg.fq_nullspace(b_system(a_mat), gf)
-            if not null:
-                continue
-            bs = (vec_mat(v, n, n) for v in _linalg.fq_span(gf, null))
-            for b_mat in sorted(b for b in bs if mat_is_invertible(gf, b)):
+        for a_mat, null in _b_nullspaces(code, parity, rho):
+            for b_mat in _invertible_span(gf, null, n):
                 out.append(AutTriple(a_mat, b_mat, rho))
     return out
+
+
+def _b_nullspaces(code, parity, rho):
+    """(A, basis of {B : A X^rho B in the code}) for every A in GL(m, q)
+    with a nonzero solution space, in ``enumerate_gl`` order.  Over a
+    prime F_q the systems of a chunk of A are built and solved as one
+    stack."""
+    gf = code.gf
+    system = _b_constraints(code, parity, rho)
+    gl = enumerate_gl(gf, code.m, guard=1 << 30)
+    if gf.e == 1:
+        per_a = len(code.basis) * len(parity) * code.n ** 2
+        solved = itertools.chain.from_iterable(
+            zip(chunk, _linalg.modp_nullspace(system(np.array(chunk, dtype=np.int64)), gf.p))
+            for chunk in _linalg.stack_chunks(gl, per_a))
+    else:
+        solved = ((a_mat, _linalg.fq_nullspace(system(a_mat), gf)) for a_mat in gl)
+    return ((a_mat, null) for a_mat, null in solved if null)
+
+
+def _invertible_span(gf, basis, n):
+    """The invertible n x n matrices in the F_q-span of the given
+    vectorized basis, sorted; over a prime F_q ranked as stacks."""
+    if gf.e > 1:
+        bs = (vec_mat(v, n, n) for v in _linalg.fq_span(gf, basis))
+        return sorted(b for b in bs if mat_is_invertible(gf, b))
+    out = []
+    for words in _linalg.modp_span(basis, gf.p):
+        mats = words.reshape(-1, n, n)
+        out.extend(tuple(map(tuple, b)) for b in mats[_linalg.modp_rank(mats, gf.p) == n].tolist())
+    return sorted(out)
 
 
 def _b_constraints(code, parity, rho):
     """The map A -> linear system in the n*n entries of B whose nullspace
     is {B : A X^rho B in the code for every basis matrix X}: one row per
     (X, dual row H), the coefficient of B[l][j] being sum_i H[i][j] (A X^rho)[i][l].
-    Over a prime F_q the system is one numpy array built by einsum."""
+    Over a prime F_q the map takes a stack (G, m, m) of A and returns the
+    stack of their systems, built by einsum."""
     gf = code.gf
     m, n = code.m, code.n
     xr = [mat_frobenius_p(gf, x, rho) if rho else x for x in code.basis]
@@ -313,9 +334,9 @@ def _b_constraints(code, parity, rho):
         hr = np.array(parity, dtype=np.int64).reshape(len(parity), m, n)
         xs = np.array(xr, dtype=np.int64)
 
-        def system(a_mat):
-            f = np.einsum("ij,tjl->til", np.array(a_mat, dtype=np.int64), xs) % p
-            return np.einsum("rij,til->trlj", hr, f).reshape(-1, n * n) % p
+        def system(a_stack):
+            f = np.einsum("gij,tjl->gtil", a_stack, xs) % p
+            return np.einsum("rij,gtil->gtrlj", hr, f).reshape(len(a_stack), -1, n * n) % p
         return system
 
     def system(a_mat):

@@ -195,14 +195,22 @@ def resolve_instance(config, guards):
     return gf, params, S
 
 
-def _emit(config, payload, default_path="-"):
-    path = config.get("output", {}).get("path", default_path)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write_output(config, text):
+    """Write to the configured output path (stdout for "-"); a path that
+    cannot be written is a ParamError (exit 2), not a traceback."""
+    path = config.get("output", {}).get("path", "-")
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParamError(f"cannot write output {path}: {exc.strerror}") from None
+
+
+def _emit(config, payload):
+    _write_output(config, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ----------------------------------------------------------------------------
@@ -300,8 +308,13 @@ SWEEP_COLUMNS = ["p", "e", "n", "m", "k", "s", "h", "eta", "subspace",
 def cmd_sweep(config) -> int:
     guards = _guards(config)
     grid = config.get("grid", {})
+    if not isinstance(grid, dict):
+        raise ParamError("sweep grid must be a JSON object of axis lists")
     keys = ("p", "e", "n", "m", "k", "s", "h", "eta", "subspace")
     axes = [grid.get(k, []) for k in keys]
+    for key, axis in zip(keys, axes):
+        if not isinstance(axis, list):
+            raise ParamError(f"sweep grid axis {key} must be a list, got {axis!r}")
     rows = []
     instances = sorted(itertools.product(*axes), key=lambda t: tuple(str(x) for x in t))
     for inst in instances:
@@ -341,12 +354,7 @@ def cmd_sweep(config) -> int:
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
-    path = config.get("output", {}).get("path", "-")
-    if path == "-":
-        sys.stdout.write(buf.getvalue())
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
+    _write_output(config, buf.getvalue())
     return 0
 
 

@@ -149,8 +149,11 @@ def poly_is_irreducible(f, p) -> bool:
 
 
 def _lex_smallest_irreducible(p, d):
-    """Smallest monic irreducible of degree d, constant-first lex order."""
-    for tail in itertools.product(range(p), repeat=d):
+    """Smallest monic irreducible of degree d, constant-first lex order.
+    For d >= 2 a zero constant term means x divides f, so those
+    candidates are skipped without a test."""
+    constants = range(1 if d >= 2 else 0, p)
+    for tail in itertools.product(constants, *[range(p)] * (d - 1)):
         f = list(tail) + [1]
         if poly_is_irreducible(f, p):
             return f

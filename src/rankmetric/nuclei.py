@@ -70,7 +70,7 @@ def _nucleus_solve(code: RankCode, side: str):
     m, n = code.m, code.n
     unknowns = m * m if side == "middle" else n * n
     parity = code.parity_rows()
-    if not parity:
+    if not code.basis or not parity:  # the zero code or the full space
         return list(mat_identity(gf, unknowns))
     if gf.e == 1:
         hr = np.array(parity, dtype=np.int64).reshape(len(parity), m, n)
@@ -105,13 +105,16 @@ def _nucleus_solve(code: RankCode, side: str):
     return _linalg.fq_nullspace(rows, gf)
 
 
+def _span_guard(gf, dim, cap):
+    if gf.q ** dim > cap:
+        raise EnumerationGuardError(f"span has q^{dim} elements, above cap {cap}")
+
+
 def span_matrices(gf, basis, cap=SPAN_GUARD):
     """All F_q-combinations of the basis matrices (guarded)."""
     if not basis:
         return frozenset()
-    if gf.q ** len(basis) > cap:
-        raise EnumerationGuardError(
-            f"span has q^{len(basis)} elements, above cap {cap}")
+    _span_guard(gf, len(basis), cap)
     rows, cols = len(basis[0]), len(basis[0][0])
     return frozenset(vec_mat(v, rows, cols)
                      for v in _linalg.fq_span(gf, [mat_vec(b) for b in basis]))
@@ -381,23 +384,41 @@ def right_nucleus_bruteforce(code: RankCode) -> NucleusReport:
 def nucleus_field_structure(report_or_basis, gf, cap=SPAN_GUARD):
     """(is_field, order): is the span a finite field?  Checks identity
     membership, closure under multiplication, and invertibility of every
-    nonzero element (a finite division ring is a field)."""
+    nonzero element (a finite division ring is a field).  Over a prime
+    F_q all products are tested against the dual of the span in chunked
+    matmuls, and the span is ranked as stacked chunks."""
     basis = report_or_basis.bruteforce_basis if isinstance(report_or_basis, NucleusReport) else tuple(report_or_basis)
     if not basis:
         return False, None
-    size = len(basis[0])
+    size, dim = len(basis[0]), len(basis)
     echelon = _linalg.fq_rref([mat_vec(b) for b in basis], gf)
     if not _linalg.fq_in_span(echelon, mat_vec(mat_identity(gf, size)), gf):
         return False, None
-    if not all(_linalg.fq_in_span(echelon, mat_vec(mat_mul(gf, a, b)), gf)
-               for a in basis for b in basis):
-        return False, None
-    elements = span_matrices(gf, basis, cap)
-    zero = tuple((0,) * size for _ in range(size))
-    for x in elements:
-        if x != zero and mat_rank(gf, x) != size:
+    if gf.e > 1:
+        if not all(_linalg.fq_in_span(echelon, mat_vec(mat_mul(gf, a, b)), gf)
+                   for a in basis for b in basis):
             return False, None
-    return True, gf.q ** len(basis)
+        elements = span_matrices(gf, basis, cap)
+        zero = tuple((0,) * size for _ in range(size))
+        if any(x != zero and mat_rank(gf, x) != size for x in elements):
+            return False, None
+        return True, gf.q ** dim
+    p = gf.p
+    mats = np.array(basis, dtype=np.int64)
+    vecs = mats.reshape(dim, size * size)
+    dual = _linalg.modp_nullspace(vecs, p)
+    if dual:  # v in the span iff H v = 0
+        h = np.array(dual)
+        for chunk in _linalg.stack_chunks(range(dim), dim * size * size):
+            prods = np.einsum("aij,bjl->abil", mats[chunk], mats) % p
+            if (prods.reshape(-1, size * size) @ h.T % p).any():
+                return False, None
+    _span_guard(gf, dim, cap)
+    for words in _linalg.modp_span(vecs, p):
+        ranks = _linalg.modp_rank(words.reshape(-1, size, size), p)
+        if ((ranks > 0) & (ranks < size)).any():
+            return False, None
+    return True, gf.q ** dim
 
 
 def _normalized_subspace(params: CodeParams, S: SubspaceSpec) -> SubspaceSpec:

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from math import gcd
 
+import numpy as np
+
 from . import _linalg
 from .errors import (
     DimensionCollapseError,
@@ -204,8 +206,11 @@ class RankCode:
         """Basis of the dual space {h : v . h = 0 for all v in the code};
         a vector lies in the code iff it pairs to zero with every row."""
         if self._parity is None:
-            rows = [list(mat_vec(b)) for b in self.basis]
-            self._parity = _linalg.fq_nullspace(rows, self.gf)
+            if not self.basis:  # the zero code: the dual is everything
+                self._parity = list(mat_identity(self.gf, self.m * self.n))
+            else:
+                rows = [list(mat_vec(b)) for b in self.basis]
+                self._parity = _linalg.fq_nullspace(rows, self.gf)
         return self._parity
 
     def contains(self, mat) -> bool:
@@ -305,11 +310,8 @@ def _rank_bits(rows):
     return r
 
 
-def _rank_hist_bits(code: RankCode, guard):
+def _rank_hist_bits(code: RankCode):
     """Rank histogram over F_2 via Gray-code enumeration on bit rows."""
-    if code.cardinality > guard:
-        raise EnumerationGuardError(
-            f"q^dim = {code.cardinality} exceeds guard {guard}")
     m, n = code.m, code.n
     packed = []
     for b in code.basis:
@@ -327,60 +329,28 @@ def _rank_hist_bits(code: RankCode, guard):
     return hist
 
 
-def _rank_rows_modp(rows, p):
-    rows = [list(r) for r in rows]
-    nrows, ncols = len(rows), len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pr = next((i for i in range(rank, nrows) if rows[i][col] % p), None)
-        if pr is None:
-            continue
-        rows[rank], rows[pr] = rows[pr], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        prow = [(x * inv) % p for x in rows[rank]]
-        rows[rank] = prow
-        for i in range(nrows):
-            if i != rank and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], prow)]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
 def rank_weight_distribution(code: RankCode, guard=ENUM_GUARD) -> list:
-    """Histogram of codeword ranks, indexed 0..min(m, n)."""
+    """Histogram of codeword ranks, indexed 0..min(m, n).  Over F_2 the
+    codewords are bit rows in Gray-code order; over an odd prime field
+    they are built in chunks as digits @ basis mod p and ranked as
+    stacks."""
     gf = code.gf
-    if gf.p == 2 and gf.e == 1:
-        return _rank_hist_bits(code, guard)
-    hist = [0] * (min(code.m, code.n) + 1)
-    if gf.e == 1:
-        p = gf.p
-        if code.cardinality > guard:
-            raise EnumerationGuardError(
-                f"q^dim = {code.cardinality} exceeds guard {guard}")
-        hist[0] += 1
-        cur = [[0] * code.n for _ in range(code.m)]
-        digits = [0] * code.dim
-        for _ in range(code.cardinality - 1):
-            i = 0
-            while True:
-                digits[i] += 1
-                b = code.basis[i]
-                for r in range(code.m):
-                    row, brow = cur[r], b[r]
-                    for c_ in range(code.n):
-                        row[c_] = (row[c_] + brow[c_]) % p
-                if digits[i] < p:
-                    break
-                digits[i] = 0
-                i += 1
-            hist[_rank_rows_modp(cur, p)] += 1
+    m, n = code.m, code.n
+    if gf.e > 1:
+        hist = [0] * (min(m, n) + 1)
+        for w in code.codewords(include_zero=True, guard=guard):
+            hist[mat_rank(gf, w)] += 1
         return hist
-    for w in code.codewords(include_zero=True, guard=guard):
-        hist[mat_rank(gf, w)] += 1
-    return hist
+    if code.cardinality > guard:
+        raise EnumerationGuardError(
+            f"q^dim = {code.cardinality} exceeds guard {guard}")
+    if gf.p == 2:
+        return _rank_hist_bits(code)
+    hist = np.zeros(min(m, n) + 1, dtype=np.int64)
+    basis = np.array(code.basis, dtype=np.int64).reshape(code.dim, m * n)
+    for words in _linalg.modp_span(basis, gf.p):
+        hist += np.bincount(_linalg.modp_rank(words.reshape(-1, m, n), gf.p), minlength=len(hist))
+    return [int(c) for c in hist]
 
 
 def min_distance(code: RankCode, guard=ENUM_GUARD) -> int:

@@ -21,7 +21,7 @@ from rankmetric.autgroup import (
     triple_acts,
 )
 from rankmetric.nuclei import right_nucleus_bruteforce, subfield_fq_basis
-from rankmetric.rankcode import CodeParams, build_gtg, mat_identity, project_code
+from rankmetric.rankcode import CodeParams, RankCode, build_gtg, mat_identity, project_code
 
 
 def generic_subspace(gf, m):
@@ -278,3 +278,9 @@ def test_generic_backend_aut_over_f4():
     known = generate_known_automorphisms(params, S, code)
     assert len(known) == 567
     assert set(known) <= set(group)
+
+
+def test_zero_code_aut_is_refused_with_an_honest_message():
+    f8 = field_create(2, 1, 3)
+    with pytest.raises(EnumerationGuardError, match="the zero code; its automorphism set is all of"):
+        aut_bruteforce(RankCode(f8, 2, []))

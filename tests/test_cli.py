@@ -266,3 +266,30 @@ def test_sweep_bad_eta_digits_lands_in_error_column(tmp_path):
         by_eta = {r["eta"]: r for r in csv.DictReader(fh)}
     assert by_eta["0"]["error"] == "" and by_eta["0"]["mrd"] == "True"
     assert "ParamError" in by_eta["digits:x"]["error"]
+
+
+@pytest.mark.parametrize("grid", [{"p": 3, "e": [1], "n": [3]}, [3, 1, 3]], ids=["scalar-axis", "list-grid"])
+def test_sweep_grid_that_is_not_axis_lists_exits_2(tmp_path, capsys, grid):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"grid": grid}))
+    rc = run(["sweep", "--config", str(cfg), "--output", "-"])
+    assert rc == 2
+    assert "invalid configuration: ParamError: sweep grid" in capsys.readouterr().err
+
+
+def test_output_in_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "code.json"
+    rc = run(["construct", "--p", "3", "--e", "1", "--n", "3", "--m", "2", "--k", "1",
+              "--s", "1", "--eta", "0", "--output", str(out)])
+    assert rc == 2
+    assert f"cannot write output {out}" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_sweep_output_in_missing_directory_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"grid": {}}))
+    out = tmp_path / "missing" / "rows.csv"
+    rc = run(["sweep", "--config", str(cfg), "--output", str(out)])
+    assert rc == 2
+    assert f"cannot write output {out}" in capsys.readouterr().err

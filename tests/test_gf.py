@@ -237,3 +237,54 @@ def test_serialize_roundtrip(f81):
     again = field_create(blob["p"], blob["e"], blob["n"], blob["modulus"])
     assert again.modulus == f81.modulus
     assert again.generator == f81.from_coords(blob["generator"])
+
+
+# Default modulus and generator of field_create(p, e, n): (modulus digits,
+# constant term first; packed generator).  Outputs are a contract, so any
+# change to the modulus search or the generator choice must keep these.
+DEFAULT_FIELDS = {
+    (2, 1, 1): ((0, 1), 1),
+    (2, 1, 2): ((1, 1, 1), 2),
+    (2, 1, 3): ((1, 0, 1, 1), 4),
+    (2, 1, 4): ((1, 0, 0, 1, 1), 4),
+    (2, 1, 5): ((1, 0, 0, 1, 0, 1), 16),
+    (2, 1, 6): ((1, 0, 0, 0, 0, 1, 1), 32),
+    (2, 1, 7): ((1, 0, 0, 0, 0, 0, 1, 1), 64),
+    (2, 1, 8): ((1, 0, 0, 0, 1, 1, 0, 1, 1), 160),
+    (2, 1, 9): ((1, 0, 0, 0, 0, 0, 0, 0, 1, 1), 448),
+    (2, 1, 10): ((1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1), 256),
+    (2, 1, 11): ((1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1), 1024),
+    (2, 1, 12): ((1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1), 3072),
+    (3, 1, 1): ((0, 1), 2),
+    (3, 1, 2): ((1, 0, 1), 4),
+    (3, 1, 3): ((1, 0, 2, 1), 18),
+    (3, 1, 4): ((1, 0, 1, 1, 1), 36),
+    (3, 1, 5): ((1, 0, 0, 0, 2, 1), 162),
+    (3, 1, 6): ((1, 0, 0, 0, 1, 1, 1), 324),
+    (3, 1, 7): ((1, 0, 0, 0, 0, 1, 2, 1), 1458),
+    (5, 1, 1): ((0, 1), 2),
+    (5, 1, 2): ((1, 1, 1), 16),
+    (5, 1, 3): ((1, 0, 1, 1), 50),
+    (5, 1, 4): ((1, 0, 1, 1, 1), 150),
+    (7, 1, 2): ((1, 0, 1), 15),
+    (7, 1, 3): ((1, 0, 1, 1), 252),
+    (7, 1, 4): ((1, 0, 0, 1, 1), 1764),
+    (11, 1, 2): ((1, 0, 1), 45),
+    (13, 1, 2): ((1, 3, 1), 79),
+    (17, 1, 2): ((1, 1, 1), 52),
+    (2, 2, 2): ((1, 0, 0, 1, 1), 4),
+    (2, 2, 3): ((1, 0, 0, 0, 0, 1, 1), 32),
+    (2, 2, 4): ((1, 0, 0, 0, 1, 1, 0, 1, 1), 160),
+    (2, 3, 2): ((1, 0, 0, 0, 0, 1, 1), 32),
+    (2, 4, 2): ((1, 0, 0, 0, 1, 1, 0, 1, 1), 160),
+    (3, 2, 2): ((1, 0, 1, 1, 1), 36),
+    (3, 2, 3): ((1, 0, 0, 0, 1, 1, 1), 324),
+    (3, 3, 2): ((1, 0, 0, 0, 1, 1, 1), 324),
+    (5, 2, 2): ((1, 0, 1, 1, 1), 150),
+}
+
+
+@pytest.mark.parametrize("pen", sorted(DEFAULT_FIELDS), ids=lambda pen: "p%d-e%d-n%d" % pen)
+def test_default_modulus_and_generator_are_pinned(pen):
+    gf = field_create(*pen)
+    assert (gf.modulus, gf.generator) == DEFAULT_FIELDS[pen]

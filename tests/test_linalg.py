@@ -83,3 +83,50 @@ def test_modp_rref_never_pivots_right_of_ncols(p):
         r_left, pivots_left = _linalg.modp_rref(a[:, :left], p)
         assert pivots == pivots_left
         assert (r[:, :left] == r_left).all()
+
+
+# -- the stacked prime-field kernel against the generic (slow) path -----------
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 257])
+@pytest.mark.parametrize("shape", [(7, 3, 6), (7, 6, 3), (5, 4, 4), (5, 1, 5)], ids=["wide", "tall", "square", "one-row"])
+def test_stacked_modp_rref_matches_generic_rref(p, shape):
+    ops = field_create(p, 1, 1)  # F_p itself: packed elements are 0..p-1
+    rng = np.random.default_rng(p * 1000 + shape[1] * 10 + shape[2])
+    stack = rng.integers(0, p, size=shape)
+    stack[1] = 0                                   # an all-zero matrix
+    stack[2, -1] = stack[2, 0] * 2 % p             # a dependent row
+    stack[3, :, 0] = 0                             # a zero column
+    r, pivots = _linalg.modp_rref(stack, p)
+    assert r.shape == stack.shape and pivots.shape == shape[:2]
+    for mat, rmat, piv in zip(stack, r, pivots):
+        want, want_pivots = _linalg.generic_rref(mat.tolist(), ops)
+        assert rmat.tolist() == want
+        assert [int(c) for c in piv if c >= 0] == want_pivots
+        assert all(c == -1 for c in piv[len(want_pivots):])
+        # a matrix is a stack of one
+        single, single_pivots = _linalg.modp_rref(mat, p)
+        assert single.tolist() == want and single_pivots == want_pivots
+    ranks = _linalg.modp_rank(stack, p)
+    nulls = _linalg.modp_nullspace(stack, p)
+    for mat, rank, null in zip(stack, ranks, nulls):
+        assert rank == _linalg.generic_rank(mat.tolist(), ops)
+        assert [v.tolist() for v in null] == _linalg.generic_nullspace(mat.tolist(), ops)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 257])
+def test_stacked_modp_inv_matches_generic_inv(p):
+    ops = field_create(p, 1, 1)
+    rng = np.random.default_rng(p)
+    mats = [m for m in rng.integers(0, p, size=(40, 3, 3)) if _linalg.modp_rank(m, p) == 3][:8]
+    inv = _linalg.modp_inv(np.array(mats), p)
+    for mat, mat_inv in zip(mats, inv):
+        assert mat_inv.tolist() == _linalg.generic_inv(mat.tolist(), ops)
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_modp_span_is_the_fq_span_order(p):
+    gf = field_create(p, 1, 1)
+    rng = np.random.default_rng(p)
+    basis = rng.integers(0, p, size=(3, 5))
+    words = np.concatenate(list(_linalg.modp_span(basis, p)))
+    assert [tuple(w) for w in words.tolist()] == list(_linalg.fq_span(gf, basis.tolist()))

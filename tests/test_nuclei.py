@@ -29,6 +29,7 @@ from rankmetric.rankcode import (
     build_gtg,
     mat_identity,
     mat_mul,
+    mat_rank,
     mat_scale,
     project_code,
 )
@@ -422,3 +423,59 @@ def test_tower_field_code_full_stack():
     rig = right_report(params, S)
     assert mid.agree is True and mid.bruteforce_order == 4    # ell_mid = 1
     assert rig.agree is True and rig.bruteforce_order == 64   # ell = 3, r = 1
+
+
+@pytest.mark.parametrize("pen", [(2, 1, 3), (3, 1, 2), (2, 2, 2)], ids=["F8", "F9", "F16-over-F4"])
+def test_zero_code_nuclei_are_the_full_matrix_algebras(pen):
+    gf = field_create(*pen)
+    m, n = 2, gf.n
+    code = RankCode(gf, m, [])
+    # Z 0 = 0 Y = 0 for all Z, Y: both nuclei are the full matrix algebras
+    mid = middle_nucleus_bruteforce(code)
+    rig = right_nucleus_bruteforce(code)
+    assert mid.bruteforce_order == gf.q ** (m * m)
+    assert rig.bruteforce_order == gf.q ** (n * n)
+
+
+def _field_structure_by_enumeration(basis, gf):
+    # the slow path: enumerate the span and test each property elementwise
+    span = span_matrices(gf, basis)
+    size = len(basis[0])
+    if mat_identity(gf, size) not in span:
+        return False, None
+    if any(mat_mul(gf, a, b) not in span for a in basis for b in basis):
+        return False, None
+    zero = tuple((0,) * size for _ in range(size))
+    if any(x != zero and mat_rank(gf, x) != size for x in span):
+        return False, None
+    return True, len(span)
+
+
+F3_SPANS = {
+    "not-closed": [((1, 0), (0, 1)), ((0, 1), (0, 0)), ((0, 0), (1, 0))],
+    "zero-divisors": [((1, 0), (0, 0)), ((0, 0), (0, 1))],
+    "swap": [((1, 0), (0, 1)), ((0, 1), (1, 0))],
+    "no-identity": [((1, 0), (0, 0))],
+    "F9": [((1, 0), (0, 1)), ((0, 1), (2, 0))],                  # x^2 + 1
+    "F27": [((1, 0, 0), (0, 1, 0), (0, 0, 1)),                   # x^3 + 2x + 2
+            ((0, 1, 0), (0, 0, 1), (1, 1, 0)),
+            ((0, 0, 1), (1, 1, 0), (0, 1, 1))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(F3_SPANS))
+def test_field_structure_over_f3_matches_enumeration(f81, name):
+    basis = F3_SPANS[name]
+    assert nucleus_field_structure(basis, f81) == _field_structure_by_enumeration(basis, f81)
+    assert nucleus_field_structure(basis, f81)[0] == (name in ("F9", "F27"))
+
+
+def test_field_structure_guard_trips_only_after_closure(f81):
+    from rankmetric.errors import EnumerationGuardError
+    # identity and closure hold, so the span would be enumerated: guard (exit 3)
+    with pytest.raises(EnumerationGuardError, match="span has q\\^3 elements, above cap 26"):
+        nucleus_field_structure(F3_SPANS["F27"], f81, cap=26)
+    with pytest.raises(EnumerationGuardError):
+        nucleus_field_structure(F3_SPANS["zero-divisors"], f81, cap=8)
+    # a span that is not closed is rejected before the guard is reached
+    assert nucleus_field_structure(F3_SPANS["not-closed"], f81, cap=1) == (False, None)

@@ -279,3 +279,39 @@ def test_serialization_shape(f81):
     assert len(blob["basis"]) == 4
     assert all(len(flat) == 12 for flat in blob["basis"])
     assert blob["provenance"]["family"] == "twisted_gabidulin"
+
+
+@pytest.mark.parametrize("pen", [(2, 1, 3), (3, 1, 2), (2, 2, 2)], ids=["F8", "F9", "F16-over-F4"])
+def test_zero_code_dual_is_the_whole_space(pen):
+    from rankmetric.gf import field_create
+    gf = field_create(*pen)
+    m, n = 2, gf.n
+    code = RankCode(gf, m, [])
+    # every vector pairs to zero with the zero code: the dual has all m*n unit vectors
+    assert code.parity_rows() == list(mat_identity(gf, m * n))
+    assert rank_weight_distribution(code) == [1] + [0] * min(m, n)
+
+
+@pytest.mark.parametrize("p, m, n, dim", [(3, 3, 4, 3), (3, 2, 3, 4), (5, 2, 3, 3), (5, 3, 3, 2)])
+def test_odd_p_rank_histogram_matches_ranking_every_codeword(p, m, n, dim):
+    from rankmetric import _linalg
+    from rankmetric.errors import DimensionCollapseError
+    from rankmetric.gf import field_create
+    gf = field_create(p, 1, n)
+    rng = random.Random(100 * p + 10 * m + dim)
+    while True:
+        # random matrices, one of them of rank <= 1, so low ranks occur
+        mats = [tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(m)) for _ in range(dim)]
+        mats[0] = tuple(tuple((c * x) % p for x in mats[0][0]) for c in range(1, m + 1))
+        try:
+            code = RankCode(gf, m, mats)
+            break
+        except DimensionCollapseError:
+            continue
+    slow = [0] * (min(m, n) + 1)
+    for w in code.codewords():
+        rank = mat_rank(gf, w)
+        assert rank == _linalg.generic_rank([list(r) for r in w], gf)
+        slow[rank] += 1
+    assert rank_weight_distribution(code) == slow
+    assert slow[1] > 0
