@@ -8,10 +8,11 @@ Two layers:
   it takes one matrix (R, C) or a stack (G, R, C) and eliminates a
   stack column by column with one vectorised update per column.  Rank,
   nullspace and inverse are read off it for a matrix or per matrix of a
-  stack, the reduction transform for a matrix.  ``modp_span`` builds a
-  span as stacked chunks (digits @ basis mod p), so a span's elements
-  can be ranked a chunk at a time.  Callers keep every stack under
-  STACK_BUDGET entries (``stack_chunks``), which bounds peak memory.
+  stack, the reduction transform and a span's dual (membership as
+  H v = 0) for a matrix.  ``modp_span`` builds a span as stacked chunks
+  (digits @ basis mod p), so a span's elements can be ranked a chunk at
+  a time.  Callers keep every stack under STACK_BUDGET entries
+  (``stack_chunks``), which bounds peak memory.
 * ``generic_*`` functions take rows of packed field elements together
   with a FieldSpec-like ops object and run schoolbook Gaussian
   elimination with its ``add``/``mul``/``inv``.  They are used both for
@@ -29,7 +30,6 @@ nullspace bases, span order) are deterministic.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import numpy as np
@@ -38,7 +38,8 @@ from .errors import SingularMatrixError
 
 __all__ = [
     "STACK_BUDGET", "stack_chunks",
-    "modp_rref", "modp_rank", "modp_nullspace", "modp_inv", "modp_reduction", "modp_span",
+    "modp_rref", "modp_rank", "modp_nullspace", "modp_dual", "modp_inv", "modp_reduction",
+    "modp_span",
     "generic_rref", "generic_rank", "generic_nullspace", "generic_inv",
     "fq_rref", "fq_rank", "fq_nullspace", "fq_inv", "fq_in_span", "fq_span",
 ]
@@ -54,11 +55,17 @@ __all__ = [
 STACK_BUDGET = 1 << 14
 
 
+def _chunk_len(per_item):
+    """Items per stack, ``per_item`` entries each, that stay under
+    STACK_BUDGET (at least one)."""
+    return max(1, STACK_BUDGET // max(per_item, 1))
+
+
 def stack_chunks(items, per_item):
     """Split ``items`` into lists whose stacks, ``per_item`` entries per
     item, stay under STACK_BUDGET (at least one item per list)."""
     it = iter(items)
-    size = max(1, STACK_BUDGET // max(per_item, 1))
+    size = _chunk_len(per_item)
     while chunk := list(itertools.islice(it, size)):
         yield chunk
 
@@ -74,19 +81,6 @@ def _fermat_inverse(x, p):
         if e:
             x = x * x % p
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _inverse_table(p):
-    table = _fermat_inverse(np.arange(p, dtype=np.int64), p)
-    table.flags.writeable = False
-    return table
-
-
-def _inverse(x, p):
-    """Inverses mod p of the nonzero entries of x; a table lookup for
-    p <= 2^12, where the table is small."""
-    return _inverse_table(p)[x] if p <= 1 << 12 else _fermat_inverse(x, p)
 
 
 def modp_rref(a, p, ncols=None):
@@ -122,7 +116,7 @@ def modp_rref(a, p, ncols=None):
         hits = np.count_nonzero(hit)
         if not hits:
             continue
-        prow = r[mats, pr] * _inverse(pv, p)[:, None] % p
+        prow = r[mats, pr] * _fermat_inverse(pv, p)[:, None] % p
         onehot = (rows == pr[:, None]) & hit[:, None]
         # the pivot row becomes prow, every other row loses c * prow
         r -= (c * hit[:, None] - onehot)[:, :, None] * prow[:, None, :]
@@ -166,6 +160,13 @@ def modp_nullspace(a, p):
     return out
 
 
+def modp_dual(basis, p):
+    """The dual of the row span of ``basis`` (k, width) as an array H of
+    shape (d, width), d = 0 allowed: v is in the span iff H v = 0 mod p."""
+    basis = np.asarray(basis, dtype=np.int64)
+    return np.array(modp_nullspace(basis, p), dtype=np.int64).reshape(-1, basis.shape[1])
+
+
 def modp_inv(a, p):
     """Inverse mod p of a square matrix, or of every matrix of a stack."""
     a = np.asarray(a, dtype=np.int64)
@@ -194,7 +195,7 @@ def modp_span(basis, p):
     basis = np.asarray(basis, dtype=np.int64)
     k, width = basis.shape
     powers = p ** np.arange(k, dtype=np.int64)
-    step = max(1, STACK_BUDGET // max(width, 1))
+    step = _chunk_len(width)
     for start in range(0, p ** k, step):
         t = np.arange(start, min(start + step, p ** k), dtype=np.int64)
         yield (t[:, None] // powers % p) @ basis % p

@@ -246,10 +246,7 @@ def _normalizer_prime(nr_basis, gf, n, guard):
     # GL are inverted and conjugated as stacks, in enumeration order
     p = gf.p
     basis = np.array(nr_basis, dtype=np.int64)
-    dual = _linalg.modp_nullspace(basis.reshape(len(nr_basis), n * n), p)
-    if not dual:
-        return list(enumerate_gl(gf, n, guard))
-    h = np.array(dual)
+    h = _linalg.modp_dual(basis.reshape(len(nr_basis), n * n), p)
     out = []
     per_m = max(2, len(nr_basis)) * n * n
     for chunk in _linalg.stack_chunks(enumerate_gl(gf, n, guard), per_m):

@@ -406,13 +406,11 @@ def nucleus_field_structure(report_or_basis, gf, cap=SPAN_GUARD):
     p = gf.p
     mats = np.array(basis, dtype=np.int64)
     vecs = mats.reshape(dim, size * size)
-    dual = _linalg.modp_nullspace(vecs, p)
-    if dual:  # v in the span iff H v = 0
-        h = np.array(dual)
-        for chunk in _linalg.stack_chunks(range(dim), dim * size * size):
-            prods = np.einsum("aij,bjl->abil", mats[chunk], mats) % p
-            if (prods.reshape(-1, size * size) @ h.T % p).any():
-                return False, None
+    h = _linalg.modp_dual(vecs, p)
+    for chunk in _linalg.stack_chunks(range(dim), dim * size * size):
+        prods = np.einsum("aij,bjl->abil", mats[chunk], mats) % p
+        if (prods.reshape(-1, size * size) @ h.T % p).any():
+            return False, None
     _span_guard(gf, dim, cap)
     for words in _linalg.modp_span(vecs, p):
         ranks = _linalg.modp_rank(words.reshape(-1, size, size), p)

@@ -111,6 +111,13 @@ def test_normalizer_of_scalars_is_whole_gl():
     assert len(norm) == gl_order(3, 2)
 
 
+def test_normalizer_of_the_full_matrix_algebra_is_whole_gl():
+    f9 = field_create(3, 1, 2)
+    units = [tuple(tuple(int((i, j) == cell) for j in range(2)) for i in range(2))
+             for cell in [(0, 0), (0, 1), (1, 0), (1, 1)]]
+    assert normalizer_elements(units, f9) == list(enumerate_gl(f9, 2))
+
+
 def test_normalizer_of_field_multiplications(f16):
     # N = all multiplications by F_16: the q^u-Frobenius monomial maps
     # normalize it, and the normalizer is a group containing the unit maps

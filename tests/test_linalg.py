@@ -130,3 +130,23 @@ def test_modp_span_is_the_fq_span_order(p):
     basis = rng.integers(0, p, size=(3, 5))
     words = np.concatenate(list(_linalg.modp_span(basis, p)))
     assert [tuple(w) for w in words.tolist()] == list(_linalg.fq_span(gf, basis.tolist()))
+
+
+@pytest.mark.parametrize("p", [3, 4099])
+@pytest.mark.parametrize("rows", [0, 2, 4, 6], ids=["empty", "dependent", "partial", "full"])
+def test_modp_dual_tests_span_membership(p, rows):
+    width = 5
+    rng = np.random.default_rng(p + rows)
+    basis = rng.integers(0, p, size=(rows, width))
+    if rows == 2:
+        basis[1] = basis[0] * 3 % p                # rank 1
+    if rows == 6:
+        basis[:width] = np.eye(width, dtype=np.int64)  # the whole space: no dual
+    rank = _linalg.modp_rank(basis, p)
+    h = _linalg.modp_dual(basis, p)
+    assert h.shape == (width - rank, width)
+    inside = rng.integers(0, p, size=(20, rows)) @ basis % p
+    probes = np.concatenate([inside, rng.integers(0, p, size=(20, width))])
+    for v in probes:
+        grown = _linalg.modp_rank(np.vstack([basis, v[None]]), p)
+        assert (not (h @ v % p).any()) == (grown == rank)

@@ -456,6 +456,8 @@ F3_SPANS = {
     "zero-divisors": [((1, 0), (0, 0)), ((0, 0), (0, 1))],
     "swap": [((1, 0), (0, 1)), ((0, 1), (1, 0))],
     "no-identity": [((1, 0), (0, 0))],
+    "full-algebra": [((1, 0), (0, 0)), ((0, 1), (0, 0)),        # closed, dual empty
+                     ((0, 0), (1, 0)), ((0, 0), (0, 1))],
     "F9": [((1, 0), (0, 1)), ((0, 1), (2, 0))],                  # x^2 + 1
     "F27": [((1, 0, 0), (0, 1, 0), (0, 0, 1)),                   # x^3 + 2x + 2
             ((0, 1, 0), (0, 0, 1), (1, 1, 0)),
