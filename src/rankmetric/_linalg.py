@@ -1,43 +1,42 @@
 """Dense linear algebra over small finite fields: the one F_q subspace
-kernel every layer shares.
+kernel every layer shares.  One elimination loop, two arithmetics.
 
-Two layers:
-
-* ``modp_*`` functions work on numpy integer arrays over a prime field
-  F_p (entries 0..p-1).  ``modp_rref`` is the single elimination loop;
-  it takes one matrix (R, C) or a stack (G, R, C) and eliminates a
-  stack column by column with one vectorised update per column.  Rank,
-  nullspace and inverse are read off it for a matrix or per matrix of a
-  stack, the reduction transform and a span's dual (membership as
-  H v = 0) for a matrix.  ``modp_span`` builds a span as stacked chunks
-  (digits @ basis mod p), so a span's elements can be ranked a chunk at
-  a time.  Callers keep every stack under STACK_BUDGET entries
+* ``modp_*`` functions work on int64 arrays of F_q elements stored as
+  their index in the sorted ``gf.fq_list()`` (0 is zero, 1 is one).
+  Their field argument is a prime p or ``fq_arith(gf)``: ``PrimeField``
+  (index = value, ``a*b % p``, Fermat inverses) or, for e > 1,
+  ``TableField`` (O(q) log/exp tables, digitwise F_p sums).
+  ``modp_rref`` is the single elimination loop: one matrix (R, C) or a
+  stack (G, R, C), eliminated column by column with one vectorised
+  update per column.  Rank, nullspace and inverse are read off it per
+  matrix of a stack, the reduction transform and a span's dual
+  (membership as H v = 0) for a matrix; ``modp_span`` builds a span as
+  stacked chunks.  Callers keep every stack under STACK_BUDGET entries
   (``stack_chunks``), which bounds peak memory.
-* ``generic_*`` functions take rows of packed field elements together
-  with a FieldSpec-like ops object and run schoolbook Gaussian
-  elimination with its ``add``/``mul``/``inv``.  They are used both for
-  F_q with q = p^e, e > 1, and for matrices over the big field F_{q^n}
-  (Moore matrices, interpolation).
+* ``generic_*`` functions run schoolbook Gaussian elimination on rows of
+  packed elements with a FieldSpec-like ops object.  They serve matrices
+  over the big field F_{q^n} (Moore matrices, interpolation) and are the
+  tests' slow reference for the kernel.
+* ``fq_*`` functions take rows of packed F_q elements of a field spec,
+  map them to indices, run the kernel and map the results back, so
+  everything sorted, serialized or compared stays packed; ``fq_in_span``
+  tests membership in the row span of an ``fq_rref`` result.
 
-The ``fq_*`` functions work on vectors over the subfield F_q of a field
-spec.  ``fq_rref``, ``fq_rank``, ``fq_nullspace`` and ``fq_inv`` pick
-the numpy path when F_q is prime and fall back to the generic path
-otherwise; ``fq_in_span`` tests membership in the row span of an
-``fq_rref`` result and ``fq_span`` streams a span in a fixed odometer
-order, the order ``modp_span`` keeps.  All canonical outputs (RREF,
-nullspace bases, span order) are deterministic.
+All canonical outputs (RREF, nullspace bases, span order) are
+deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 
 import numpy as np
 
 from .errors import SingularMatrixError
 
 __all__ = [
-    "STACK_BUDGET", "stack_chunks",
+    "STACK_BUDGET", "stack_chunks", "PrimeField", "TableField", "fq_arith",
     "modp_rref", "modp_rank", "modp_nullspace", "modp_dual", "modp_inv", "modp_reduction",
     "modp_span",
     "generic_rref", "generic_rank", "generic_nullspace", "generic_inv",
@@ -46,7 +45,131 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------------
-# prime field, numpy
+# F_q arithmetic on numpy arrays of element indices
+# ----------------------------------------------------------------------------
+
+class PrimeField:
+    """F_p on int64 arrays: an element is its own index."""
+
+    def __init__(self, p):
+        self.p = self.q = p
+
+    def index(self, packed):
+        return np.asarray(packed, dtype=np.int64)
+
+    def packed(self, idx):
+        return idx
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def inv(self, x):
+        """Elementwise x^(p-2): the inverse of every nonzero entry."""
+        p = self.p
+        out = np.ones_like(x)
+        e = p - 2
+        while e:
+            if e & 1:
+                out = out * x % p
+            e >>= 1
+            if e:
+                x = x * x % p
+        return out
+
+    def submul(self, r, c, x):
+        """r - c x (broadcasting), computed in place in r."""
+        r -= c * x
+        r %= self.p
+        return r
+
+    def matmul(self, a, b):
+        return a @ b % self.p
+
+
+class TableField:
+    """F_q, q = p^e with e > 1, on int64 arrays of indices into the
+    sorted ``gf.fq_list()``.  Products and inverses go through log/exp
+    tables over a generator g of F_q^* (Lidl & Niederreiter, *Finite
+    Fields*, ch. 9); log of zero is a sentinel that lands every product
+    with zero in the zero half of the exp table.  Sums map each index to
+    its code, the F_p-coordinates over (1, g, ..., g^(e-1)) read base p,
+    add codes digitwise (XOR for p = 2) and map back.  Every table has
+    O(q) entries."""
+
+    def __init__(self, gf):
+        p, e, q = gf.p, gf.e, gf.q
+        self.p, self.q = p, q
+        self._fq = np.array(gf.fq_list(), dtype=np.int64)
+        self._weights = p ** np.arange(e, dtype=np.int64)
+        powers = [gf.one]
+        for _ in range(q - 2):
+            powers.append(gf.mul(powers[-1], gf._qgen_powers[1]))
+        exp = self.index(powers)  # exp[k] = index of g^k
+        self._exp = np.concatenate([exp, exp, np.zeros(2 * q - 1, dtype=np.int64)])
+        self._log = np.full(q, 2 * (q - 1), dtype=np.int64)
+        self._log[exp] = np.arange(q - 1)
+        self._inv = np.zeros(q, dtype=np.int64)
+        self._inv[exp] = exp[-np.arange(q - 1)]
+        # code -> index: code c is sum_t digit_t(c) g^t in the big field's
+        # F_p-coordinates, packed the way gf packs elements
+        digits = np.arange(q)[:, None] // self._weights % p
+        coords = np.array([gf.coords(b) for b in gf._qgen_powers], dtype=np.int64)
+        self._from_code = self.index((digits @ coords % p) @ p ** np.arange(gf.degree, dtype=np.int64))
+        self._code = np.argsort(self._from_code)
+        self._cexp = self._code[self._exp]
+
+    def _cadd(self, x, y, sign=1):
+        """Codes of x + sign * y, digit by digit."""
+        if self.p == 2:
+            return x ^ y
+        return sum((x // w + sign * (y // w)) % self.p * w for w in self._weights)
+
+    def index(self, packed):
+        return np.searchsorted(self._fq, packed)
+
+    def packed(self, idx):
+        return self._fq[idx]
+
+    def mul(self, a, b):
+        return self._exp[self._log[a] + self._log[b]]
+
+    def sub(self, a, b):
+        return self._from_code[self._cadd(self._code[a], self._code[b], -1)]
+
+    def inv(self, a):
+        return self._inv[a]
+
+    def submul(self, r, c, x):
+        return self._from_code[self._cadd(self._code[r], self._cexp[self._log[c] + self._log[x]], -1)]
+
+    def matmul(self, a, b):
+        """Broadcasting a @ b, one table product per inner index."""
+        la, lb = self._log[a], self._log[b]
+        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+        acc = np.zeros(shape, dtype=np.int64)
+        for i in range(a.shape[-1]):
+            acc = self._cadd(acc, self._cexp[la[..., :, i, None] + lb[..., i, None, :]])
+        return self._from_code[acc]
+
+
+def fq_arith(gf):
+    """The arithmetic of the subfield F_q of a field spec (cached on it)."""
+    if gf.e == 1:
+        return PrimeField(gf.p)
+    if "fq_arith" not in gf._misc_cache:
+        gf._misc_cache["fq_arith"] = TableField(gf)
+    return gf._misc_cache["fq_arith"]
+
+
+def _field(f):
+    return PrimeField(int(f)) if isinstance(f, numbers.Integral) else f
+
+
+# ----------------------------------------------------------------------------
+# the stacked kernel, on element indices
 # ----------------------------------------------------------------------------
 
 # Largest number of entries of one stacked array.  Callers chunk their
@@ -70,22 +193,10 @@ def stack_chunks(items, per_item):
         yield chunk
 
 
-def _fermat_inverse(x, p):
-    """Elementwise x^(p-2) mod p: the inverse of every nonzero entry."""
-    out = np.ones_like(x)
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * x % p
-        e >>= 1
-        if e:
-            x = x * x % p
-    return out
-
-
 def modp_rref(a, p, ncols=None):
-    """Reduced row echelon form mod p of a matrix (R, C), or of every
-    matrix of a stack (G, R, C), eliminated together column by column.
+    """Reduced row echelon form over F_q (``p`` a prime or an ``fq_arith``
+    object) of a matrix (R, C), or of every matrix of a stack (G, R, C),
+    eliminated together column by column.
 
     Returns (R, pivots).  For a matrix, ``pivots`` is the list of pivot
     columns; for a stack, a (G, R) array holding the pivot column of each
@@ -97,8 +208,9 @@ def modp_rref(a, p, ncols=None):
     pivot yet and clears the column in all other rows with one update of
     the whole stack.  Rows are sorted by pivot column at the end; the
     RREF is unique, so the choice of pivot row does not show."""
+    f = _field(p)
     r = np.array(a, dtype=np.int64)
-    r %= p
+    r %= f.q  # reduces mod p; indices of a table field are already below q
     single = r.ndim == 2
     if single:
         r = r[None]
@@ -116,11 +228,12 @@ def modp_rref(a, p, ncols=None):
         hits = np.count_nonzero(hit)
         if not hits:
             continue
-        prow = r[mats, pr] * _fermat_inverse(pv, p)[:, None] % p
+        prow = f.mul(r[mats, pr], f.inv(pv)[:, None])
         onehot = (rows == pr[:, None]) & hit[:, None]
         # the pivot row becomes prow, every other row loses c * prow
-        r -= (c * hit[:, None] - onehot)[:, :, None] * prow[:, None, :]
-        r %= p
+        # (onehot, read as indices, is the element one at the pivot row)
+        coef = f.sub(c * hit[:, None], onehot.astype(np.int64))
+        r = f.submul(r, coef[:, :, None], prow[:, None, :])
         pivots[onehot] = col
         full += hits == g
         if full == nrows:
@@ -134,16 +247,16 @@ def modp_rref(a, p, ncols=None):
 
 
 def modp_rank(a, p):
-    """Rank mod p; for a stack, the array of the ranks of its matrices."""
+    """Rank; for a stack, the array of the ranks of its matrices."""
     r, pivots = modp_rref(a, p)
     return len(pivots) if r.ndim == 2 else (pivots >= 0).sum(axis=1)
 
 
-def _null_basis(r, pivots, p):
+def _null_basis(r, pivots, f):
     free = [c for c in range(r.shape[1]) if c not in pivots]
     basis = np.zeros((len(free), r.shape[1]), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = -r[:len(pivots), free].T % p
+    basis[:, pivots] = f.sub(0, r[:len(pivots), free].T)
     return list(basis)
 
 
@@ -151,36 +264,37 @@ def modp_nullspace(a, p):
     """Canonical basis of {x : a x = 0}, one vector per free column; for
     a stack, the list of the bases of its matrices, read off the stacked
     RREF only for the matrices with nonzero nullity."""
-    r, pivots = modp_rref(a, p)
+    f = _field(p)
+    r, pivots = modp_rref(a, f)
     if r.ndim == 2:
-        return _null_basis(r, pivots, p)
+        return _null_basis(r, pivots, f)
     out = [[] for _ in range(len(r))]
     for k in np.flatnonzero((pivots >= 0).sum(axis=1) < r.shape[2]):
-        out[k] = _null_basis(r[k], [int(c) for c in pivots[k] if c >= 0], p)
+        out[k] = _null_basis(r[k], [int(c) for c in pivots[k] if c >= 0], f)
     return out
 
 
 def modp_dual(basis, p):
     """The dual of the row span of ``basis`` (k, width) as an array H of
-    shape (d, width), d = 0 allowed: v is in the span iff H v = 0 mod p."""
+    shape (d, width), d = 0 allowed: v is in the span iff H v = 0."""
     basis = np.asarray(basis, dtype=np.int64)
     return np.array(modp_nullspace(basis, p), dtype=np.int64).reshape(-1, basis.shape[1])
 
 
 def modp_inv(a, p):
-    """Inverse mod p of a square matrix, or of every matrix of a stack."""
+    """Inverse of a square matrix, or of every matrix of a stack."""
     a = np.asarray(a, dtype=np.int64)
     n = a.shape[-1]
     eye = np.broadcast_to(np.eye(n, dtype=np.int64), a.shape)
     r, pivots = modp_rref(np.concatenate([a, eye], axis=-1), p, n)
     if not (len(pivots) == n if r.ndim == 2 else (pivots >= 0).all()):
-        raise SingularMatrixError("matrix is singular mod %d" % p)
+        raise SingularMatrixError("matrix is singular over F_%d" % _field(p).q)
     return r[..., n:]
 
 
 def modp_reduction(a, p):
     """Row-reduction transform: returns (R, E, pivots) with E a = R."""
-    a = np.array(a, dtype=np.int64) % p
+    a = np.asarray(a, dtype=np.int64)
     nrows, ncols = a.shape
     aug = np.concatenate([a, np.eye(nrows, dtype=np.int64)], axis=1)
     raug, pivots = modp_rref(aug, p, ncols)
@@ -188,17 +302,19 @@ def modp_reduction(a, p):
 
 
 def modp_span(basis, p):
-    """The p^k F_p-combinations of the k rows of ``basis``, in the
-    ``fq_span`` order (combination t has coefficient digit_i(t), base p
-    and digit 0 fastest, on row i), as stacked chunks of rows that stay
-    under STACK_BUDGET entries."""
+    """The q^k F_q-combinations of the k rows of ``basis`` in odometer
+    order (combination t has coefficient digit_i(t), base q and digit 0
+    fastest, on row i; the zero vector first), as stacked chunks of rows
+    that stay under STACK_BUDGET entries."""
+    f = _field(p)
     basis = np.asarray(basis, dtype=np.int64)
     k, width = basis.shape
-    powers = p ** np.arange(k, dtype=np.int64)
+    q = f.q
+    powers = q ** np.arange(k, dtype=np.int64)
     step = _chunk_len(width)
-    for start in range(0, p ** k, step):
-        t = np.arange(start, min(start + step, p ** k), dtype=np.int64)
-        yield (t[:, None] // powers % p) @ basis % p
+    for start in range(0, q ** k, step):
+        t = np.arange(start, min(start + step, q ** k), dtype=np.int64)
+        yield f.matmul(t[:, None] // powers % q, basis)
 
 
 # ----------------------------------------------------------------------------
@@ -262,46 +378,36 @@ def generic_inv(rows, ops):
 
 
 # ----------------------------------------------------------------------------
-# dispatch on the subfield F_q
+# packed F_q rows of a field spec, through the kernel
 # ----------------------------------------------------------------------------
 
-def _prime_fq(gf):
-    return gf.e == 1
+def _packed_rows(f, a):
+    return [tuple(row) for row in f.packed(a).tolist()]
 
 
 def fq_rref(rows, gf):
     if not rows:
         return [], []
-    if _prime_fq(gf):
-        r, pivots = modp_rref(np.array(rows, dtype=np.int64), gf.p)
-        return [tuple(int(x) for x in row) for row in r], pivots
-    r, pivots = generic_rref(rows, gf)
-    return [tuple(row) for row in r], pivots
+    f = fq_arith(gf)
+    r, pivots = modp_rref(f.index(rows), f)
+    return _packed_rows(f, r), pivots
 
 
 def fq_rank(rows, gf):
-    if not rows:
-        return 0
-    if _prime_fq(gf):
-        return modp_rank(np.array(rows, dtype=np.int64), gf.p)
-    return generic_rank(rows, gf)
+    return len(fq_rref(rows, gf)[1])
 
 
 def fq_nullspace(rows, gf):
-    """Canonical nullspace basis as tuples; ``rows`` may be a numpy array
-    when F_q is prime."""
-    if len(rows) == 0:
+    """Canonical nullspace basis as tuples of packed elements."""
+    if not rows:
         return []
-    if _prime_fq(gf):
-        basis = modp_nullspace(np.array(rows, dtype=np.int64), gf.p)
-        return [tuple(int(x) for x in v) for v in basis]
-    return [tuple(v) for v in generic_nullspace(rows, gf)]
+    f = fq_arith(gf)
+    return _packed_rows(f, np.array(modp_nullspace(f.index(rows), f), dtype=np.int64))
 
 
 def fq_inv(rows, gf):
-    if _prime_fq(gf):
-        return [tuple(int(x) for x in row) for row in modp_inv(np.array(rows, dtype=np.int64), gf.p)]
-    return [tuple(row) for row in generic_inv(rows, gf)]
+    f = fq_arith(gf)
+    return _packed_rows(f, modp_inv(f.index(rows), f))
 
 
 def fq_in_span(echelon, v, gf):
@@ -317,24 +423,7 @@ def fq_in_span(echelon, v, gf):
 
 def fq_span(gf, basis):
     """Stream all q^len(basis) F_q-combinations of the (nonempty list of)
-    basis vectors as tuples, by an odometer over the coefficient digits:
-    the zero vector first, digit 0 fastest.  Stepping digit i from fq[d]
-    to fq[d+1] adds (fq[d+1] - fq[d]) * b_i, so arbitrary F_q scalars are
-    covered, not just integer multiples."""
-    fq = gf.fq_list()
-    q = len(fq)
-    deltas = [[tuple(gf.mul(gf.sub(fq[(d + 1) % q], fq[d]), x) for x in b) for d in range(q)]
-              for b in basis]
-    cur = (0,) * len(basis[0])
-    yield cur
-    digits = [0] * len(basis)
-    for _ in range(q ** len(basis) - 1):
-        i = 0
-        while True:
-            d = digits[i]
-            cur = tuple(map(gf.add, cur, deltas[i][d]))
-            digits[i] = (d + 1) % q
-            if digits[i]:
-                break
-            i += 1
-        yield cur
+    basis vectors as tuples, in the ``modp_span`` odometer order."""
+    f = fq_arith(gf)
+    for words in modp_span(f.index(basis), f):
+        yield from _packed_rows(f, words)

@@ -22,7 +22,6 @@ the n-side map modulo X^(q^ell) - X.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +35,9 @@ from .rankcode import (
     build_gtg,
     mat_frobenius_p,
     mat_identity,
-    mat_is_invertible,
     mat_mul,
-    mat_vec,
     project_code,
-    vec_mat,
+    right_constraints,
 )
 
 GL_GUARD_AUT = 1 << 18
@@ -58,11 +55,9 @@ class AutTriple:
     rho: int
 
     def serialize(self, gf):
-        def entry(x):
-            return int(x) if gf.e == 1 else [int(d) for d in gf.coords(x)]
         return {
-            "A": [[entry(x) for x in row] for row in self.A],
-            "B": [[entry(x) for x in row] for row in self.B],
+            "A": [[gf.fq_json(x) for x in row] for row in self.A],
+            "B": [[gf.fq_json(x) for x in row] for row in self.B],
             "rho": self.rho,
         }
 
@@ -115,11 +110,15 @@ def enumerate_gl(gf, n: int, guard: int = GL_GUARD_NORMALIZER):
     if key in gf._misc_cache:
         yield from gf._misc_cache[key]
         return
-    fq = gf.fq_list()
+    f, q = _linalg.fq_arith(gf), gf.q
+    # candidate t has entry k = digit k of t, base q, most significant
+    # first: indices into the sorted F_q, so t runs in lexicographic order
+    powers = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
     collect = [] if size <= GL_GUARD_AUT else None
-    for entries in itertools.product(fq, repeat=n * n):
-        mat = tuple(entries[i * n:(i + 1) * n] for i in range(n))
-        if mat_is_invertible(gf, mat):
+    for chunk in _linalg.stack_chunks(range(q ** (n * n)), n * n):
+        mats = (np.array(chunk, dtype=np.int64)[:, None] // powers % q).reshape(-1, n, n)
+        for mat in f.packed(mats[_linalg.modp_rank(mats, f) == n]).tolist():
+            mat = tuple(map(tuple, mat))
             if collect is not None:
                 collect.append(mat)
             yield mat
@@ -161,24 +160,13 @@ def theta_set(polys, ell: int, gf) -> ThetaSet:
             if c:
                 s = gf.add(s, c)
         sums.append(s)
-    elements = _fq_span(gf, sums)
+    # the F_q-span of the sums, enumerated over independent coordinate rows
+    rref, pivots = _linalg.fq_rref([gf.vec_repr(x) for x in sums], gf)
+    elements = {gf.from_vec(v) for v in _linalg.fq_span(gf, rref[:len(pivots)])} if pivots else {0}
     subfield = gf.subfield_elements(ell) if gf.n % ell == 0 else frozenset()
     fq = set(gf.fq_list())
     meets = any(x in subfield and x not in fq for x in elements)
     return ThetaSet(frozenset(elements), ell, meets, len(elements) == gf.order)
-
-
-def _fq_span(gf, elements):
-    out = {0}
-    for g in elements:
-        if g == 0:
-            continue
-        layer = set()
-        for c in gf.fq_list():
-            cg = gf.mul(c, g)
-            layer.update(gf.add(x, cg) for x in out)
-        out = layer
-    return out
 
 
 # ----------------------------------------------------------------------------
@@ -228,32 +216,18 @@ def normalizer_elements(nr_basis, gf, guard: int = GL_GUARD_NORMALIZER):
     checking basis images against the span suffices."""
     if not nr_basis:
         return []
-    n = len(nr_basis[0])
-    if gf.e == 1:
-        return _normalizer_prime(nr_basis, gf, n, guard)
-    echelon = _linalg.fq_rref([mat_vec(b) for b in nr_basis], gf)
-    out = []
-    for m_ in enumerate_gl(gf, n, guard):
-        m_inv = tuple(tuple(r) for r in _linalg.fq_inv([list(r) for r in m_], gf))
-        if all(_linalg.fq_in_span(echelon, mat_vec(mat_mul(gf, mat_mul(gf, m_, b), m_inv)), gf)
-               for b in nr_basis):
-            out.append(m_)
-    return out
-
-
-def _normalizer_prime(nr_basis, gf, n, guard):
     # membership in the span via its dual: v in N iff H v = 0; chunks of
     # GL are inverted and conjugated as stacks, in enumeration order
-    p = gf.p
-    basis = np.array(nr_basis, dtype=np.int64)
-    h = _linalg.modp_dual(basis.reshape(len(nr_basis), n * n), p)
+    n = len(nr_basis[0])
+    f = _linalg.fq_arith(gf)
+    basis = f.index(nr_basis)
+    h = _linalg.modp_dual(basis.reshape(len(nr_basis), n * n), f)
     out = []
     per_m = max(2, len(nr_basis)) * n * n
     for chunk in _linalg.stack_chunks(enumerate_gl(gf, n, guard), per_m):
-        ms = np.array(chunk, dtype=np.int64)
-        left = np.einsum("gij,bjk->gbik", ms, basis) % p
-        conj = left @ _linalg.modp_inv(ms, p)[:, None] % p
-        outside = (conj.reshape(len(chunk), len(nr_basis), n * n) @ h.T % p).any(axis=(1, 2))
+        ms = f.index(chunk)
+        conj = f.matmul(f.matmul(ms[:, None], basis), _linalg.modp_inv(ms, f)[:, None])
+        outside = f.matmul(conj.reshape(len(chunk), len(nr_basis), n * n), h.T).any(axis=(1, 2))
         out.extend(m_ for m_, bad in zip(chunk, outside) if not bad)
     return out
 
@@ -278,79 +252,38 @@ def aut_bruteforce(code: RankCode, gl_guard: int = GL_GUARD_AUT):
         raise EnumerationGuardError(
             f"code is {'the zero code' if not code.basis else 'the full matrix space'}; "
             "its automorphism set is all of GL(m,q) x GL(n,q) x Aut(F_q) and is not enumerated")
+    f = _linalg.fq_arith(gf)
     out = []
     for rho in range(gf.e):
-        for a_mat, null in _b_nullspaces(code, parity, rho):
-            for b_mat in _invertible_span(gf, null, n):
+        for a_mat, null in _b_nullspaces(code, parity, rho, f):
+            for b_mat in _invertible_span(f, null, n):
                 out.append(AutTriple(a_mat, b_mat, rho))
     return out
 
 
-def _b_nullspaces(code, parity, rho):
-    """(A, basis of {B : A X^rho B in the code}) for every A in GL(m, q)
-    with a nonzero solution space, in ``enumerate_gl`` order.  Over a
-    prime F_q the systems of a chunk of A are built and solved as one
-    stack."""
+def _b_nullspaces(code, parity, rho, f):
+    """(A, index basis of {B : A X^rho B in the code}) for every A in
+    GL(m, q) with a nonzero solution space, in ``enumerate_gl`` order.
+    The systems of a chunk of A are built and solved as one stack: the
+    ``right_constraints`` rows of the matrices A X^rho."""
     gf = code.gf
-    system = _b_constraints(code, parity, rho)
-    gl = enumerate_gl(gf, code.m, guard=1 << 30)
-    if gf.e == 1:
-        per_a = len(code.basis) * len(parity) * code.n ** 2
-        solved = itertools.chain.from_iterable(
-            zip(chunk, _linalg.modp_nullspace(system(np.array(chunk, dtype=np.int64)), gf.p))
-            for chunk in _linalg.stack_chunks(gl, per_a))
-    else:
-        solved = ((a_mat, _linalg.fq_nullspace(system(a_mat), gf)) for a_mat in gl)
-    return ((a_mat, null) for a_mat, null in solved if null)
-
-
-def _invertible_span(gf, basis, n):
-    """The invertible n x n matrices in the F_q-span of the given
-    vectorized basis, sorted; over a prime F_q ranked as stacks."""
-    if gf.e > 1:
-        bs = (vec_mat(v, n, n) for v in _linalg.fq_span(gf, basis))
-        return sorted(b for b in bs if mat_is_invertible(gf, b))
-    out = []
-    for words in _linalg.modp_span(basis, gf.p):
-        mats = words.reshape(-1, n, n)
-        out.extend(tuple(map(tuple, b)) for b in mats[_linalg.modp_rank(mats, gf.p) == n].tolist())
-    return sorted(out)
-
-
-def _b_constraints(code, parity, rho):
-    """The map A -> linear system in the n*n entries of B whose nullspace
-    is {B : A X^rho B in the code for every basis matrix X}: one row per
-    (X, dual row H), the coefficient of B[l][j] being sum_i H[i][j] (A X^rho)[i][l].
-    Over a prime F_q the map takes a stack (G, m, m) of A and returns the
-    stack of their systems, built by einsum."""
-    gf = code.gf
-    m, n = code.m, code.n
     xr = [mat_frobenius_p(gf, x, rho) if rho else x for x in code.basis]
-    if gf.e == 1:
-        p = gf.p
-        hr = np.array(parity, dtype=np.int64).reshape(len(parity), m, n)
-        xs = np.array(xr, dtype=np.int64)
+    xs = f.index(xr)
+    hr = f.index(parity).reshape(len(parity), code.m, code.n)
+    per_a = len(code.basis) * len(parity) * code.n ** 2
+    for chunk in _linalg.stack_chunks(enumerate_gl(gf, code.m, guard=1 << 30), per_a):
+        systems = right_constraints(f, f.matmul(f.index(chunk)[:, None], xs), hr)
+        yield from ((a_mat, null) for a_mat, null in zip(chunk, _linalg.modp_nullspace(systems, f)) if null)
 
-        def system(a_stack):
-            f = np.einsum("gij,tjl->gtil", a_stack, xs) % p
-            return np.einsum("rij,gtil->gtrlj", hr, f).reshape(len(a_stack), -1, n * n) % p
-        return system
 
-    def system(a_mat):
-        rows = []
-        for x in xr:
-            f = mat_mul(gf, a_mat, x)
-            for hrow in parity:
-                row = [0] * (n * n)
-                for l in range(n):
-                    for j in range(n):
-                        acc = 0
-                        for i in range(m):
-                            acc = gf.add(acc, gf.mul(hrow[i * n + j], f[i][l]))
-                        row[l * n + j] = acc
-                rows.append(row)
-        return rows
-    return system
+def _invertible_span(f, basis, n):
+    """The invertible n x n matrices in the F_q-span of the given
+    vectorized index basis, packed and sorted; ranked as stacks."""
+    out = []
+    for words in _linalg.modp_span(basis, f):
+        mats = words.reshape(-1, n, n)
+        out.extend(tuple(map(tuple, b)) for b in f.packed(mats[_linalg.modp_rank(mats, f) == n]).tolist())
+    return sorted(out)
 
 
 # ----------------------------------------------------------------------------
@@ -373,18 +306,18 @@ def generate_known_automorphisms(params: CodeParams, S: SubspaceSpec, code: Rank
             if all(gf.mul(a, fa) in pts for fa in frob_alphas):
                 rows = tuple(S.alpha_coords(gf.mul(a, fa)) for fa in frob_alphas)
                 mside.append((a, w, rows))
+    nside = [poly_to_matrix(LinearizedPoly.monomial(gf, b, u))
+             for u in range(gf.n) for b in range(1, gf.order)]
     out = []
     for rho in range(gf.e):
         xr = [mat_frobenius_p(gf, x, rho) if rho else x for x in code.basis]
         for a, w, a_mat in mside:
             fs = [mat_mul(gf, a_mat, x) for x in xr]
-            for u in range(gf.n):
-                for b in range(1, gf.order):
-                    b_mat = poly_to_matrix(LinearizedPoly.monomial(gf, b, u))
-                    if not code.contains(mat_mul(gf, fs[0], b_mat)):
-                        continue
-                    if all(code.contains(mat_mul(gf, f, b_mat)) for f in fs[1:]):
-                        out.append(AutTriple(a_mat, b_mat, rho))
+            for b_mat in nside:
+                if not code.contains(mat_mul(gf, fs[0], b_mat)):
+                    continue
+                if all(code.contains(mat_mul(gf, f, b_mat)) for f in fs[1:]):
+                    out.append(AutTriple(a_mat, b_mat, rho))
     return sorted(out, key=lambda t: (t.rho, t.A, t.B))
 
 
@@ -416,9 +349,11 @@ def aut_report(code: RankCode, params: CodeParams = None, S: SubspaceSpec = None
         report["theta"] = None
         report["ansatz_mismatch"] = True
     verdicts = []
+    forms = {}  # B -> its monomial form; many triples share their B
     for t in triples:
-        phi_b = matrix_to_poly(gf, t.B)
-        mono, a, u = check_monomial_form(phi_b, ell)
+        if t.B not in forms:
+            forms[t.B] = check_monomial_form(matrix_to_poly(gf, t.B), ell)
+        mono, a, u = forms[t.B]
         entry = {"n_side_monomial": mono, "a": a, "u": u}
         if mono:
             entry["m_side_scalar"] = mside_twisted_scalar(t.A, S, u)

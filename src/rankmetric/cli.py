@@ -481,6 +481,18 @@ def run_selfcheck() -> int:
         assert verdict and cert["d"] == 3
     _check("twisted code is MRD with d = m - k + 1", mrd_spotcheck, failures)
 
+    def stacked_kernel():
+        krng = random.Random(20240404)
+        for gf in (field_create(2, 2, 1), field_create(3, 2, 1)):
+            f = _linalg.fq_arith(gf)
+            stack = [[[krng.randrange(gf.q) for _ in range(4)] for _ in range(3)] for _ in range(12)]
+            stack[0][2] = stack[0][0]  # a dependent row
+            r, pivots = _linalg.modp_rref(stack, f)
+            for mat, rmat, piv in zip(stack, r, pivots):
+                want = _linalg.generic_rref(f.packed(mat).tolist(), gf)
+                assert (f.packed(rmat).tolist(), [c for c in piv.tolist() if c >= 0]) == want
+    _check("stacked F_q kernel agrees with generic_rref on F_4 and F_9", stacked_kernel, failures)
+
     if failures:
         print(f"{len(failures)} selfcheck item(s) failed")
         return 4

@@ -464,15 +464,22 @@ class FieldSpec:
         if basis is None:
             basis = self.power_basis()
         tinv = self._vecrepr_solver(basis)
-        x = (tinv @ np.array(self.coords(a), dtype=np.int64)) % self.p
-        e = self.e
-        out = []
-        for j in range(self.n):
+        return self.from_qdigits((tinv @ np.array(self.coords(a), dtype=np.int64)) % self.p, self.n)
+
+    def from_qdigits(self, x, count: int) -> tuple:
+        """The ``count`` F_q elements whose F_p-coordinates over the F_q
+        power basis (1, g, ..., g^(e-1)) are x[j*e : (j+1)*e], j < count."""
+        e, out = self.e, []
+        for j in range(count):
             c = 0
             for t in range(e):
                 c = self.add(c, self.mul(int(x[j * e + t]), self._qgen_powers[t]))
             out.append(c)
         return tuple(out)
+
+    def fq_json(self, x):
+        """JSON form of an F_q element: an int if q is prime, else coordinates."""
+        return int(x) if self.e == 1 else [int(d) for d in self.coords(x)]
 
     def from_vec(self, coords, basis=None) -> int:
         if basis is None:

@@ -239,13 +239,7 @@ class SubspaceSpec:
             raise DependentSetError("alpha basis unexpectedly dependent")
         if b[ncols:].any():
             return None
-        out = []
-        for j in range(self.m):
-            c = 0
-            for t_ in range(gf.e):
-                c = gf.add(c, gf.mul(int(b[j * gf.e + t_]), gf._qgen_powers[t_]))
-            out.append(c)
-        return tuple(out)
+        return gf.from_qdigits(b, self.m)
 
     def __repr__(self):
         return f"SubspaceSpec(m={self.m}, n={self.gf.n}, q={self.gf.q})"

@@ -50,10 +50,9 @@ from .rankcode import (
     RankCode,
     build_gtg,
     mat_identity,
-    mat_mul,
-    mat_rank,
     mat_vec,
     project_code,
+    right_constraints,
     vec_mat,
 )
 
@@ -72,37 +71,15 @@ def _nucleus_solve(code: RankCode, side: str):
     parity = code.parity_rows()
     if not code.basis or not parity:  # the zero code or the full space
         return list(mat_identity(gf, unknowns))
-    if gf.e == 1:
-        hr = np.array(parity, dtype=np.int64).reshape(len(parity), m, n)
-        bs = np.array(code.basis, dtype=np.int64)
-        if side == "middle":
-            # unknown Z (i,l):  sum_j H[r,i,j] B_t[l,j]
-            block = np.einsum("rij,tlj->tril", hr, bs)
-        else:
-            # unknown Y (l,j):  sum_i H[r,i,j] B_t[i,l]
-            block = np.einsum("rij,til->trlj", hr, bs)
-        return _linalg.fq_nullspace(block.reshape(-1, unknowns) % gf.p, gf)
-    rows = []
-    for b in code.basis:
-        for hrow in parity:
-            if side == "middle":
-                row = [0] * (m * m)
-                for i in range(m):
-                    for l in range(m):
-                        acc = 0
-                        for j in range(n):
-                            acc = gf.add(acc, gf.mul(hrow[i * n + j], b[l][j]))
-                        row[i * m + l] = acc
-            else:
-                row = [0] * (n * n)
-                for l in range(n):
-                    for j in range(n):
-                        acc = 0
-                        for i in range(m):
-                            acc = gf.add(acc, gf.mul(hrow[i * n + j], b[i][l]))
-                        row[l * n + j] = acc
-            rows.append(row)
-    return _linalg.fq_nullspace(rows, gf)
+    f = _linalg.fq_arith(gf)
+    hr = f.index(parity).reshape(len(parity), m, n)
+    bs = f.index(code.basis)
+    if side == "middle":
+        # unknown Z (i,l):  sum_j H[r,i,j] B_t[l,j], the entries of H B_t^T
+        block = f.matmul(hr, np.swapaxes(bs, 1, 2)[:, None])
+    else:
+        block = right_constraints(f, bs, hr)
+    return [tuple(f.packed(v).tolist()) for v in _linalg.modp_nullspace(block.reshape(-1, unknowns), f)]
 
 
 def _span_guard(gf, dim, cap):
@@ -318,10 +295,7 @@ def predict_right_nucleus(params: CodeParams, S: SubspaceSpec):
 
 def _fq_basis_of(gf, elements):
     """Deterministic F_q-basis of an F_q-subspace given by its elements."""
-    rows = [list(gf.vec_repr(x)) for x in sorted(elements) if x != 0]
-    if not rows:
-        return []
-    rref, pivots = _linalg.fq_rref(rows, gf)
+    rref, pivots = _linalg.fq_rref([gf.vec_repr(x) for x in sorted(elements) if x != 0], gf)
     return [gf.from_vec(rref[i]) for i in range(len(pivots))]
 
 
@@ -345,12 +319,10 @@ class NucleusReport:
     normalized: bool = False
 
     def to_json(self, gf) -> dict:
-        def entry(x):
-            return int(x) if gf.e == 1 else [int(d) for d in gf.coords(x)]
         out = {
             "kind": self.kind,
             "order": self.bruteforce_order,
-            "basis": [[entry(x) for x in mat_vec(b)] for b in self.bruteforce_basis],
+            "basis": [[gf.fq_json(x) for x in mat_vec(b)] for b in self.bruteforce_basis],
             "flags": {k: bool(v) for k, v in self.hypothesis_flags.items()},
         }
         if self.predicted_order is not None:
@@ -384,9 +356,9 @@ def right_nucleus_bruteforce(code: RankCode) -> NucleusReport:
 def nucleus_field_structure(report_or_basis, gf, cap=SPAN_GUARD):
     """(is_field, order): is the span a finite field?  Checks identity
     membership, closure under multiplication, and invertibility of every
-    nonzero element (a finite division ring is a field).  Over a prime
-    F_q all products are tested against the dual of the span in chunked
-    matmuls, and the span is ranked as stacked chunks."""
+    nonzero element (a finite division ring is a field).  All products
+    are tested against the dual of the span in chunked matmuls, and the
+    span is ranked as stacked chunks."""
     basis = report_or_basis.bruteforce_basis if isinstance(report_or_basis, NucleusReport) else tuple(report_or_basis)
     if not basis:
         return False, None
@@ -394,26 +366,17 @@ def nucleus_field_structure(report_or_basis, gf, cap=SPAN_GUARD):
     echelon = _linalg.fq_rref([mat_vec(b) for b in basis], gf)
     if not _linalg.fq_in_span(echelon, mat_vec(mat_identity(gf, size)), gf):
         return False, None
-    if gf.e > 1:
-        if not all(_linalg.fq_in_span(echelon, mat_vec(mat_mul(gf, a, b)), gf)
-                   for a in basis for b in basis):
-            return False, None
-        elements = span_matrices(gf, basis, cap)
-        zero = tuple((0,) * size for _ in range(size))
-        if any(x != zero and mat_rank(gf, x) != size for x in elements):
-            return False, None
-        return True, gf.q ** dim
-    p = gf.p
-    mats = np.array(basis, dtype=np.int64)
+    f = _linalg.fq_arith(gf)
+    mats = f.index(basis)
     vecs = mats.reshape(dim, size * size)
-    h = _linalg.modp_dual(vecs, p)
+    h = _linalg.modp_dual(vecs, f)
     for chunk in _linalg.stack_chunks(range(dim), dim * size * size):
-        prods = np.einsum("aij,bjl->abil", mats[chunk], mats) % p
-        if (prods.reshape(-1, size * size) @ h.T % p).any():
+        prods = f.matmul(mats[chunk][:, None], mats)
+        if f.matmul(prods.reshape(-1, size * size), h.T).any():
             return False, None
     _span_guard(gf, dim, cap)
-    for words in _linalg.modp_span(vecs, p):
-        ranks = _linalg.modp_rank(words.reshape(-1, size, size), p)
+    for words in _linalg.modp_span(vecs, f):
+        ranks = _linalg.modp_rank(words.reshape(-1, size, size), f)
         if ((ranks > 0) & (ranks < size)).any():
             return False, None
     return True, gf.q ** dim

@@ -81,6 +81,13 @@ def mat_rank(gf, a):
 def mat_is_invertible(gf, a):
     return len(a) == len(a[0]) and mat_rank(gf, a) == len(a)
 
+def right_constraints(f, mats, dual):
+    """Rows (..., t * r, n * n) of "X Y pairs to zero with every dual row
+    H" in the entries of Y, for the index stacks ``mats`` (..., t, m, n)
+    and ``dual`` (r, m, n): row (X, H) is X^T H, X-major."""
+    rows = f.matmul(np.swapaxes(mats, -1, -2)[..., None, :, :], dual)
+    return rows.reshape(*mats.shape[:-3], -1, dual.shape[-1] ** 2)
+
 def mat_vec(a):
     """Row-major vectorization."""
     return tuple(x for row in a for x in row)
@@ -236,16 +243,12 @@ class RankCode:
 
     def serialize(self) -> dict:
         gf = self.gf
-        def entry(x):
-            if gf.e == 1:
-                return int(x)
-            return [int(d) for d in gf.coords(x)]
         out = {
             "q": gf.q,
             "m": self.m,
             "n": self.n,
             "dimension": self.dim,
-            "basis": [[entry(x) for x in mat_vec(b)] for b in self.basis],
+            "basis": [[gf.fq_json(x) for x in mat_vec(b)] for b in self.basis],
         }
         if self.provenance is not None:
             out["provenance"] = self.provenance
@@ -331,25 +334,20 @@ def _rank_hist_bits(code: RankCode):
 
 def rank_weight_distribution(code: RankCode, guard=ENUM_GUARD) -> list:
     """Histogram of codeword ranks, indexed 0..min(m, n).  Over F_2 the
-    codewords are bit rows in Gray-code order; over an odd prime field
-    they are built in chunks as digits @ basis mod p and ranked as
-    stacks."""
+    codewords are bit rows in Gray-code order; over any other F_q they
+    are built in chunks as digits @ basis and ranked as stacks."""
     gf = code.gf
     m, n = code.m, code.n
-    if gf.e > 1:
-        hist = [0] * (min(m, n) + 1)
-        for w in code.codewords(include_zero=True, guard=guard):
-            hist[mat_rank(gf, w)] += 1
-        return hist
     if code.cardinality > guard:
         raise EnumerationGuardError(
             f"q^dim = {code.cardinality} exceeds guard {guard}")
-    if gf.p == 2:
+    if gf.q == 2:
         return _rank_hist_bits(code)
+    f = _linalg.fq_arith(gf)
     hist = np.zeros(min(m, n) + 1, dtype=np.int64)
-    basis = np.array(code.basis, dtype=np.int64).reshape(code.dim, m * n)
-    for words in _linalg.modp_span(basis, gf.p):
-        hist += np.bincount(_linalg.modp_rank(words.reshape(-1, m, n), gf.p), minlength=len(hist))
+    basis = f.index(code.basis).reshape(code.dim, m * n)
+    for words in _linalg.modp_span(basis, f):
+        hist += np.bincount(_linalg.modp_rank(words.reshape(-1, m, n), f), minlength=len(hist))
     return [int(c) for c in hist]
 
 
