@@ -1,26 +1,27 @@
 """Dense linear algebra over small finite fields: the one F_q subspace
-kernel every layer shares.  One elimination loop, two arithmetics.
+kernel every layer shares.  One elimination loop, three arithmetics.
 
 * ``modp_*`` functions work on int64 arrays of F_q elements stored as
   their index in the sorted ``gf.fq_list()`` (0 is zero, 1 is one).
-  Their field argument is a prime p or ``fq_arith(gf)``: ``PrimeField``
-  (index = value, ``a*b % p``, Fermat inverses) or, for e > 1,
-  ``TableField`` (O(q) log/exp tables, digitwise F_p sums).
-  ``modp_rref`` is the single elimination loop: one matrix (R, C) or a
-  stack (G, R, C), eliminated column by column with one vectorised
-  update per column.  Rank, nullspace and inverse are read off it per
-  matrix of a stack, the reduction transform and a span's dual
-  (membership as H v = 0) for a matrix; ``modp_span`` builds a span as
-  stacked chunks.  Callers keep every stack under STACK_BUDGET entries
-  (``stack_chunks``), which bounds peak memory.
+  Their field argument is a prime p or an arithmetic: ``fq_arith(gf)``
+  gives ``PrimeField`` (index = value, ``a*b % p``, Fermat inverses) or,
+  for e > 1, ``TableField`` (O(q) log/exp tables, digitwise F_p sums);
+  ``BitField`` packs an F_2 row of n <= 62 entries into one word (sums
+  are XORs).  ``modp_rref`` is the single elimination loop: one matrix
+  (R, C) or a stack (G, R, C), eliminated column by column with one
+  vectorised update per column.  Rank, nullspace and inverse are read
+  off it per matrix of a stack, the reduction transform and a span's
+  dual for a matrix; ``modp_span`` builds a span as stacked chunks.
+  Callers keep every stack under STACK_BUDGET entries (``stack_chunks``),
+  which bounds peak memory.
 * ``generic_*`` functions run schoolbook Gaussian elimination on rows of
   packed elements with a FieldSpec-like ops object.  They serve matrices
   over the big field F_{q^n} (Moore matrices, interpolation) and are the
   tests' slow reference for the kernel.
 * ``fq_*`` functions take rows of packed F_q elements of a field spec,
   map them to indices, run the kernel and map the results back, so
-  everything sorted, serialized or compared stays packed; ``fq_in_span``
-  tests membership in the row span of an ``fq_rref`` result.
+  everything sorted, serialized or compared stays packed.  Span
+  membership is the dual test H v = 0 (``modp_dual``, ``fq_in_span``).
 
 All canonical outputs (RREF, nullspace bases, span order) are
 deterministic.
@@ -36,7 +37,7 @@ import numpy as np
 from .errors import SingularMatrixError
 
 __all__ = [
-    "STACK_BUDGET", "stack_chunks", "PrimeField", "TableField", "fq_arith",
+    "STACK_BUDGET", "stack_chunks", "PrimeField", "TableField", "BitField", "fq_arith",
     "modp_rref", "modp_rank", "modp_nullspace", "modp_dual", "modp_inv", "modp_reduction",
     "modp_span",
     "generic_rref", "generic_rank", "generic_nullspace", "generic_inv",
@@ -48,7 +49,20 @@ __all__ = [
 # F_q arithmetic on numpy arrays of element indices
 # ----------------------------------------------------------------------------
 
-class PrimeField:
+class _EntryRows:
+    """A matrix row stored entry by entry: column j is r[..., j]."""
+
+    def entries(self, a):  # a fresh copy, reduced below q
+        return np.array(a, dtype=np.int64) % self.q
+
+    def column(self, r, j):
+        return r[..., j]
+
+    def width(self, r):
+        return r.shape[-1]
+
+
+class PrimeField(_EntryRows):
     """F_p on int64 arrays: an element is its own index."""
 
     def __init__(self, p):
@@ -89,7 +103,7 @@ class PrimeField:
         return a @ b % self.p
 
 
-class TableField:
+class TableField(_EntryRows):
     """F_q, q = p^e with e > 1, on int64 arrays of indices into the
     sorted ``gf.fq_list()``.  Products and inverses go through log/exp
     tables over a generator g of F_q^* (Lidl & Niederreiter, *Finite
@@ -155,6 +169,59 @@ class TableField:
         return self._from_code[acc]
 
 
+class BitField:
+    """F_2 with a row of n <= 62 entries packed into one int64 word (bit j
+    is entry j), so a matrix (R, n) is stored as (R, 1) words; a product
+    with a 0/1 scalar is a multiply and a sum a XOR: the packed rows of
+    M4RI (Albrecht, Bard & Hart, "Algorithm 898", ACM TOMS 37(1), 2010)
+    without its Four-Russians tables.  Serves modp_rref/rank/span."""
+
+    q = 2
+
+    def __init__(self, n):
+        if n > 62:
+            raise ValueError(f"BitField packs at most 62 columns into a word, got {n}")
+        self.n = n
+        self._bits = np.arange(n, dtype=np.int64)
+
+    def index(self, packed):
+        return (np.asarray(packed, dtype=np.int64) << self._bits).sum(axis=-1, keepdims=True)
+
+    def packed(self, words):
+        return words >> self._bits & 1
+
+    def entries(self, a):
+        return np.array(a, dtype=np.int64)
+
+    def column(self, r, j):
+        return r[..., 0] >> j & 1
+
+    def width(self, r):
+        return self.n
+
+    def mul(self, a, b):
+        return a * b
+
+    def sub(self, a, b):
+        return a ^ b
+
+    def inv(self, x):
+        return x
+
+    def submul(self, r, c, x):
+        r ^= c * x
+        return r
+
+    def matmul(self, a, b):
+        """Broadcasting a @ b for 0/1 entries a and word rows b: the XOR
+        of the rows a selects, accumulated one inner index at a time."""
+        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+        acc = np.zeros(shape, dtype=np.int64)
+        for i in range(a.shape[-1]):
+            acc ^= a[..., :, i, None] * b[..., i, None, :]
+        return acc
+
+
 def fq_arith(gf):
     """The arithmetic of the subfield F_q of a field spec (cached on it)."""
     if gf.e == 1:
@@ -194,9 +261,10 @@ def stack_chunks(items, per_item):
 
 
 def modp_rref(a, p, ncols=None):
-    """Reduced row echelon form over F_q (``p`` a prime or an ``fq_arith``
+    """Reduced row echelon form over F_q (``p`` a prime or an arithmetic
     object) of a matrix (R, C), or of every matrix of a stack (G, R, C),
-    eliminated together column by column.
+    eliminated together column by column.  Under ``BitField`` the rows
+    are words, C = 1, and the n bits are the columns.
 
     Returns (R, pivots).  For a matrix, ``pivots`` is the list of pivot
     columns; for a stack, a (G, R) array holding the pivot column of each
@@ -209,18 +277,17 @@ def modp_rref(a, p, ncols=None):
     the whole stack.  Rows are sorted by pivot column at the end; the
     RREF is unique, so the choice of pivot row does not show."""
     f = _field(p)
-    r = np.array(a, dtype=np.int64)
-    r %= f.q  # reduces mod p; indices of a table field are already below q
+    r = f.entries(a)
     single = r.ndim == 2
     if single:
         r = r[None]
-    g, nrows, width = r.shape
-    ncols = width if ncols is None else ncols
+    g, nrows = r.shape[:2]
+    ncols = f.width(r) if ncols is None else ncols
     mats, rows = np.arange(g), np.arange(nrows)
     pivots = np.full((g, nrows), ncols)  # ncols: the row holds no pivot yet
     full = 0  # columns in which every matrix took a pivot
     for col in range(ncols if nrows else 0):
-        c = r[:, :, col]
+        c = f.column(r, col)
         cand = c * (pivots == ncols)
         pr = cand.argmax(axis=1)
         pv = cand[mats, pr]
@@ -410,15 +477,12 @@ def fq_inv(rows, gf):
     return _packed_rows(f, modp_inv(f.index(rows), f))
 
 
-def fq_in_span(echelon, v, gf):
-    """Is the vector v in the row span of ``echelon = fq_rref(rows, gf)``?"""
-    rref, pivots = echelon
-    v = list(v)
-    for row, c in zip(rref, pivots):
-        if v[c]:
-            coef = v[c]
-            v = [gf.sub(x, gf.mul(coef, y)) for x, y in zip(v, row)]
-    return not any(v)
+def fq_in_span(rows, v, gf):
+    """Is the vector v in the row span of ``rows``?  It is iff v pairs to
+    zero with every row of the span's dual (``modp_dual``)."""
+    f = fq_arith(gf)
+    h = modp_dual(f.index(np.reshape(rows, (len(rows), len(v)))), f)
+    return not f.matmul(h, f.index(v)[:, None]).any()
 
 
 def fq_span(gf, basis):

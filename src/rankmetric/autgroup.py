@@ -29,6 +29,7 @@ import numpy as np
 from . import _linalg
 from .errors import AnsatzMismatchError, EnumerationGuardError
 from .linpoly import LinearizedPoly, SubspaceSpec, matrix_to_poly, poly_to_matrix
+from .nuclei import mside_twisted_scalar, right_nucleus_bruteforce, smallest_containing_subfield
 from .rankcode import (
     RankCode,
     CodeParams,
@@ -188,24 +189,6 @@ def check_monomial_form(phi: LinearizedPoly, ell: int):
     return True, a, u
 
 
-def mside_twisted_scalar(A, S: SubspaceSpec, u: int):
-    """If the m-side matrix A acts on U_S as c -> b c^(q^(-u)), return b,
-    else None.  A rows give images of the alphas in alpha coordinates."""
-    gf = S.gf
-    w = (-u) % gf.n
-    images = []
-    for i in range(S.m):
-        img = 0
-        for j in range(S.m):
-            img = gf.add(img, gf.mul(A[i][j], S.alphas[j]))
-        images.append(img)
-    b = gf.mul(images[0], gf.inv(gf.frobenius(S.alphas[0], w)))
-    for img, a in zip(images, S.alphas):
-        if img != gf.mul(b, gf.frobenius(a, w)):
-            return None
-    return b
-
-
 # ----------------------------------------------------------------------------
 # normalizer
 # ----------------------------------------------------------------------------
@@ -298,26 +281,28 @@ def generate_known_automorphisms(params: CodeParams, S: SubspaceSpec, code: Rank
     gf = params.gf
     if code is None:
         code = project_code(build_gtg(params), S)
-    pts = S.subspace_set()
     mside = []
     for w in range(gf.n):
         frob_alphas = [gf.frobenius(al, w) for al in S.alphas]
         for a in range(1, gf.order):
-            if all(gf.mul(a, fa) in pts for fa in frob_alphas):
-                rows = tuple(S.alpha_coords(gf.mul(a, fa)) for fa in frob_alphas)
+            rows = tuple(S.alpha_coords(gf.mul(a, fa)) for fa in frob_alphas)
+            if None not in rows:
                 mside.append((a, w, rows))
     nside = [poly_to_matrix(LinearizedPoly.monomial(gf, b, u))
              for u in range(gf.n) for b in range(1, gf.order)]
+    # A X^rho B is in the code iff it pairs to zero with the dual: one stack per chunk of B
+    f, m, n, dim = _linalg.fq_arith(gf), code.m, code.n, code.dim
+    bs = f.index(nside)
+    h = f.index(code.parity_rows()).reshape(-1, m * n).T
     out = []
     for rho in range(gf.e):
-        xr = [mat_frobenius_p(gf, x, rho) if rho else x for x in code.basis]
+        xr = f.index(np.reshape([mat_frobenius_p(gf, x, rho) if rho else x for x in code.basis], (dim, m, n)))
         for a, w, a_mat in mside:
-            fs = [mat_mul(gf, a_mat, x) for x in xr]
-            for b_mat in nside:
-                if not code.contains(mat_mul(gf, fs[0], b_mat)):
-                    continue
-                if all(code.contains(mat_mul(gf, f, b_mat)) for f in fs[1:]):
-                    out.append(AutTriple(a_mat, b_mat, rho))
+            ax = f.matmul(f.index(a_mat), xr)
+            for chunk in _linalg.stack_chunks(range(len(nside)), dim * max(m * n, h.shape[1])):
+                images = f.matmul(ax, bs[chunk][:, None]).reshape(len(chunk), dim, m * n)
+                outside = f.matmul(images, h).any(axis=(1, 2))
+                out.extend(AutTriple(a_mat, nside[j], rho) for j, bad in zip(chunk, outside) if not bad)
     return sorted(out, key=lambda t: (t.rho, t.A, t.B))
 
 
@@ -329,8 +314,6 @@ def aut_report(code: RankCode, params: CodeParams = None, S: SubspaceSpec = None
                gl_guard: int = GL_GUARD_AUT) -> dict:
     """Brute-force group plus Theta predicates and per-triple monomial
     verdicts on the n-side (and the twisted-scalar check on the m-side)."""
-    from .nuclei import right_nucleus_bruteforce, smallest_containing_subfield
-
     gf = code.gf
     triples = aut_bruteforce(code, gl_guard)
     report = {"order": len(triples), "triples": triples}

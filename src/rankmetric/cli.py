@@ -245,8 +245,7 @@ def cmd_nuclei(config) -> int:
     # internal consistency: both nuclei must contain the F_q scalars, that
     # is (being F_q-spans) the identity
     for rep, size in ((middle, params.m), (right, gf.n)):
-        echelon = _linalg.fq_rref([mat_vec(b) for b in rep.bruteforce_basis], gf)
-        if not _linalg.fq_in_span(echelon, mat_vec(mat_identity(gf, size)), gf):
+        if not _linalg.fq_in_span([mat_vec(b) for b in rep.bruteforce_basis], mat_vec(mat_identity(gf, size)), gf):
             sys.stderr.write("selfcheck failure: nucleus misses a scalar\n")
             return 4
     mid_field = nuclei.nucleus_field_structure(middle, gf)
@@ -483,15 +482,15 @@ def run_selfcheck() -> int:
 
     def stacked_kernel():
         krng = random.Random(20240404)
-        for gf in (field_create(2, 2, 1), field_create(3, 2, 1)):
-            f = _linalg.fq_arith(gf)
-            stack = [[[krng.randrange(gf.q) for _ in range(4)] for _ in range(3)] for _ in range(12)]
+        f2, f4, f9 = field_create(2, 1, 1), field_create(2, 2, 1), field_create(3, 2, 1)
+        for gf, f in ((f2, _linalg.BitField(4)), (f4, _linalg.fq_arith(f4)), (f9, _linalg.fq_arith(f9))):
+            stack = [[[krng.choice(gf.fq_list()) for _ in range(4)] for _ in range(3)] for _ in range(12)]
             stack[0][2] = stack[0][0]  # a dependent row
-            r, pivots = _linalg.modp_rref(stack, f)
+            r, pivots = _linalg.modp_rref(f.index(stack), f)
             for mat, rmat, piv in zip(stack, r, pivots):
-                want = _linalg.generic_rref(f.packed(mat).tolist(), gf)
+                want = _linalg.generic_rref(mat, gf)
                 assert (f.packed(rmat).tolist(), [c for c in piv.tolist() if c >= 0]) == want
-    _check("stacked F_q kernel agrees with generic_rref on F_4 and F_9", stacked_kernel, failures)
+    _check("stacked F_q kernel agrees with generic_rref on packed F_2, F_4 and F_9", stacked_kernel, failures)
 
     if failures:
         print(f"{len(failures)} selfcheck item(s) failed")

@@ -42,6 +42,7 @@ from .errors import (
 from .linpoly import (
     LinearizedPoly,
     SubspaceSpec,
+    _matvec,
     poly_to_matrix,
     subspace_poly,
 )
@@ -115,13 +116,10 @@ def _divisors(n):
 def largest_linearity_field(S: SubspaceSpec) -> int:
     """Largest ell (a divisor of n) with F_{q^ell} U_S = U_S."""
     gf = S.gf
-    pts = S.subspace_set()
     for ell in sorted(_divisors(gf.n), reverse=True):
-        if gf.q ** ell > gf.order:
-            continue
         g = _subfield_generator(gf, ell)
         # F_{q^ell} = F_q[g], so closure under g suffices
-        if all(gf.mul(g, a) in pts for a in S.alphas):
+        if all(S.alpha_coords(gf.mul(g, a)) is not None for a in S.alphas):
             return ell
     return 1
 
@@ -363,13 +361,12 @@ def nucleus_field_structure(report_or_basis, gf, cap=SPAN_GUARD):
     if not basis:
         return False, None
     size, dim = len(basis[0]), len(basis)
-    echelon = _linalg.fq_rref([mat_vec(b) for b in basis], gf)
-    if not _linalg.fq_in_span(echelon, mat_vec(mat_identity(gf, size)), gf):
-        return False, None
     f = _linalg.fq_arith(gf)
     mats = f.index(basis)
     vecs = mats.reshape(dim, size * size)
     h = _linalg.modp_dual(vecs, f)
+    if f.matmul(h, np.eye(size, dtype=np.int64).reshape(-1, 1)).any():  # is the identity in the span?
+        return False, None
     for chunk in _linalg.stack_chunks(range(dim), dim * size * size):
         prods = f.matmul(mats[chunk][:, None], mats)
         if f.matmul(prods.reshape(-1, size * size), h.T).any():
@@ -452,18 +449,16 @@ def right_element_sends_monomials_to_monomials(Y, S: SubspaceSpec, s: int) -> bo
     return True
 
 
-def middle_element_is_scalar_on_span(Z, S: SubspaceSpec):
-    """If the middle-nucleus element Z acts on U_S as u -> b u, return b,
-    else None.  Z rows give images of the alphas in alpha coordinates."""
+def mside_twisted_scalar(A, S: SubspaceSpec, u: int):
+    """If the m-side matrix A acts on U_S as c -> b c^(q^(-u)), return b,
+    else None.  A rows give images of the alphas in alpha coordinates."""
     gf = S.gf
-    images = []
-    for i in range(S.m):
-        img = 0
-        for j in range(S.m):
-            img = gf.add(img, gf.mul(Z[i][j], S.alphas[j]))
-        images.append(img)
-    b = gf.mul(images[0], gf.inv(S.alphas[0]))
-    for img, a in zip(images, S.alphas):
-        if img != gf.mul(b, a):
-            return None
-    return b
+    w = (-u) % gf.n
+    images = _matvec(A, S.alphas, gf)
+    b = gf.mul(images[0], gf.inv(gf.frobenius(S.alphas[0], w)))
+    return b if all(img == gf.mul(b, gf.frobenius(a, w)) for img, a in zip(images, S.alphas)) else None
+
+
+def middle_element_is_scalar_on_span(Z, S: SubspaceSpec):
+    """Return b if Z acts on U_S as u -> b u, else None (``mside_twisted_scalar``, u = 0)."""
+    return mside_twisted_scalar(Z, S, 0)

@@ -190,7 +190,6 @@ class RankCode:
             if len(mat) != m or any(len(row) != self.n for row in mat):
                 raise ShapeMismatchError("basis matrix has wrong shape")
         self.provenance = provenance
-        self._rref = None
         self._parity = None
         if self.basis and _linalg.fq_rank([list(mat_vec(b)) for b in self.basis], gf) != len(self.basis):
             raise DimensionCollapseError("basis matrices are F_q-dependent")
@@ -203,25 +202,20 @@ class RankCode:
     def cardinality(self) -> int:
         return self.gf.q ** self.dim
 
-    def _rref_data(self):
-        if self._rref is None:
-            rows = [list(mat_vec(b)) for b in self.basis]
-            self._rref = _linalg.fq_rref(rows, self.gf)
-        return self._rref
-
     def parity_rows(self):
         """Basis of the dual space {h : v . h = 0 for all v in the code};
         a vector lies in the code iff it pairs to zero with every row."""
-        if self._parity is None:
-            if not self.basis:  # the zero code: the dual is everything
-                self._parity = list(mat_identity(self.gf, self.m * self.n))
-            else:
-                rows = [list(mat_vec(b)) for b in self.basis]
-                self._parity = _linalg.fq_nullspace(rows, self.gf)
+        if self._parity is None:  # the zero code's dual is everything
+            f = _linalg.fq_arith(self.gf)
+            h = _linalg.modp_dual(f.index(np.reshape(self.basis, (self.dim, self.m * self.n))), f)
+            self._parity = [tuple(row) for row in f.packed(h).tolist()]
         return self._parity
 
     def contains(self, mat) -> bool:
-        return _linalg.fq_in_span(self._rref_data(), mat_vec(mat), self.gf)
+        """Does the matrix pair to zero with every ``parity_rows()`` row?"""
+        f = _linalg.fq_arith(self.gf)
+        h = f.index(self.parity_rows()).reshape(-1, self.m * self.n)
+        return not f.matmul(h, f.index(mat_vec(mat))[:, None]).any()
 
     def codewords(self, include_zero=True, guard=ENUM_GUARD):
         """Stream all codewords in the ``_linalg.fq_span`` odometer order
@@ -298,56 +292,20 @@ def rank_distance(gf, a, b) -> int:
     return mat_rank(gf, mat_sub(gf, a, b))
 
 
-def _rank_bits(rows):
-    pivots = {}
-    r = 0
-    for v in rows:
-        while v:
-            b = v.bit_length() - 1
-            w = pivots.get(b)
-            if w is None:
-                pivots[b] = v
-                r += 1
-                break
-            v ^= w
-    return r
-
-
-def _rank_hist_bits(code: RankCode):
-    """Rank histogram over F_2 via Gray-code enumeration on bit rows."""
-    m, n = code.m, code.n
-    packed = []
-    for b in code.basis:
-        packed.append([sum(int(x) << j for j, x in enumerate(row)) for row in b])
-    hist = [0] * (min(m, n) + 1)
-    hist[0] += 1
-    cur = [0] * m
-    total = code.cardinality
-    for g in range(1, total):
-        i = (g & -g).bit_length() - 1
-        rows = packed[i]
-        for r in range(m):
-            cur[r] ^= rows[r]
-        hist[_rank_bits(cur)] += 1
-    return hist
-
-
 def rank_weight_distribution(code: RankCode, guard=ENUM_GUARD) -> list:
-    """Histogram of codeword ranks, indexed 0..min(m, n).  Over F_2 the
-    codewords are bit rows in Gray-code order; over any other F_q they
-    are built in chunks as digits @ basis and ranked as stacks."""
-    gf = code.gf
+    """Histogram of codeword ranks, indexed 0..min(m, n).  The codewords
+    are built in chunks as digits @ basis (``modp_span``) and ranked as
+    stacks (``modp_rank``); over F_2 a codeword row is one packed word
+    (``BitField``), over any other F_q a row of element indices."""
     m, n = code.m, code.n
     if code.cardinality > guard:
         raise EnumerationGuardError(
             f"q^dim = {code.cardinality} exceeds guard {guard}")
-    if gf.q == 2:
-        return _rank_hist_bits(code)
-    f = _linalg.fq_arith(gf)
+    f = _linalg.BitField(n) if code.gf.q == 2 else _linalg.fq_arith(code.gf)
+    basis = f.index(np.reshape(code.basis, (code.dim, m, n)))  # rows of 1 word over F_2
     hist = np.zeros(min(m, n) + 1, dtype=np.int64)
-    basis = f.index(code.basis).reshape(code.dim, m * n)
-    for words in _linalg.modp_span(basis, f):
-        hist += np.bincount(_linalg.modp_rank(words.reshape(-1, m, n), f), minlength=len(hist))
+    for words in _linalg.modp_span(basis.reshape(code.dim, m * basis.shape[2]), f):
+        hist += np.bincount(_linalg.modp_rank(words.reshape(-1, *basis.shape[1:]), f), minlength=len(hist))
     return [int(c) for c in hist]
 
 

@@ -83,11 +83,10 @@ def test_fq_in_span_matches_enumerated_span(fq_field):
     rng = random.Random(3)
     basis = _independent(gf, rng, 2, 4)
     span = set(_linalg.fq_span(gf, basis))
-    echelon = _linalg.fq_rref([list(b) for b in basis], gf)
     probes = list(span) + _random_vectors(gf, rng, 60, 4)
     assert any(v not in span for v in probes)
     for v in probes:
-        assert _linalg.fq_in_span(echelon, v, gf) == (v in span)
+        assert _linalg.fq_in_span(basis, v, gf) == (v in span)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -130,6 +129,19 @@ def test_stacked_modp_rref_matches_generic_rref(p, shape):
     for mat, rank, null in zip(stack, ranks, nulls):
         assert rank == _linalg.generic_rank(mat.tolist(), ops)
         assert [v.tolist() for v in null] == _linalg.generic_nullspace(mat.tolist(), ops)
+    if p == 2:
+        # F_2 rows packed into words: the same RREF, pivots and ranks
+        bits = _linalg.BitField(shape[2])
+        words = bits.index(stack)
+        r, pivots = _linalg.modp_rref(words, bits)
+        assert words.shape == shape[:2] + (1,) and (bits.packed(words) == stack).all()
+        for mat, rmat, piv, rank in zip(stack, r, pivots, _linalg.modp_rank(words, bits)):
+            want, want_pivots = _linalg.generic_rref(mat.tolist(), ops)
+            assert bits.packed(rmat).tolist() == want
+            assert [int(c) for c in piv if c >= 0] == want_pivots
+            assert rank == len(want_pivots)
+        with pytest.raises(ValueError):
+            _linalg.BitField(63)                   # a row must fit one int64 word
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 257])
@@ -235,7 +247,8 @@ def _dot(gf, u, v):
     return acc
 
 
-@pytest.mark.parametrize("p, e, n, m, k", [(2, 2, 3, 3, 2), (3, 2, 2, 2, 1)], ids=["F4", "F9"])
+@pytest.mark.parametrize("p, e, n, m, k", [(2, 2, 3, 3, 2), (3, 2, 2, 2, 1), (2, 1, 4, 3, 2), (2, 1, 6, 5, 2)],
+                         ids=["F4", "F9", "F2-m3", "F2-m5"])
 def test_rank_histogram_matches_ranking_every_codeword(p, e, n, m, k):
     gf = field_create(p, e, n)
     params = CodeParams(gf, m, k, 1, 1, 0)

@@ -161,6 +161,14 @@ def test_linearity_field_f4_span():
     assert smallest_containing_subfield(S) == 6
 
 
+def test_linearity_field_without_enumerating_the_subspace():
+    # U_S is all of F_{2^23}: 2^23 points, above the subspace guard, and
+    # closure is tested point by point through the alpha coordinates
+    gf = field_create(2, 1, 23)
+    S = subspace_poly(gf, gf.power_basis())
+    assert largest_linearity_field(S) == 23
+
+
 # -- predictions ---------------------------------------------------------------
 
 def test_predict_middle_subfield_case(f64):
