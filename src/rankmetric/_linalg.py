@@ -41,7 +41,7 @@ __all__ = [
     "modp_rref", "modp_rank", "modp_nullspace", "modp_dual", "modp_inv", "modp_reduction",
     "modp_span",
     "generic_rref", "generic_rank", "generic_nullspace", "generic_inv",
-    "fq_rref", "fq_rank", "fq_nullspace", "fq_inv", "fq_in_span", "fq_span",
+    "fq_rref", "fq_rank", "fq_inv", "fq_in_span", "fq_span",
 ]
 
 
@@ -118,20 +118,18 @@ class TableField(_EntryRows):
         self.p, self.q = p, q
         self._fq = np.array(gf.fq_list(), dtype=np.int64)
         self._weights = p ** np.arange(e, dtype=np.int64)
+        g = gf.subfield_generator(1)
         powers = [gf.one]
         for _ in range(q - 2):
-            powers.append(gf.mul(powers[-1], gf._qgen_powers[1]))
+            powers.append(gf.mul(powers[-1], g))
         exp = self.index(powers)  # exp[k] = index of g^k
         self._exp = np.concatenate([exp, exp, np.zeros(2 * q - 1, dtype=np.int64)])
         self._log = np.full(q, 2 * (q - 1), dtype=np.int64)
         self._log[exp] = np.arange(q - 1)
         self._inv = np.zeros(q, dtype=np.int64)
         self._inv[exp] = exp[-np.arange(q - 1)]
-        # code -> index: code c is sum_t digit_t(c) g^t in the big field's
-        # F_p-coordinates, packed the way gf packs elements
-        digits = np.arange(q)[:, None] // self._weights % p
-        coords = np.array([gf.coords(b) for b in gf._qgen_powers], dtype=np.int64)
-        self._from_code = self.index((digits @ coords % p) @ p ** np.arange(gf.degree, dtype=np.int64))
+        # code -> index: code c is the element sum_t digit_t(c) g^t
+        self._from_code = self.index(gf.from_qdigits((np.arange(q)[:, None] // self._weights % p).ravel(), q))
         self._code = np.argsort(self._from_code)
         self._cexp = self._code[self._exp]
 
@@ -462,14 +460,6 @@ def fq_rref(rows, gf):
 
 def fq_rank(rows, gf):
     return len(fq_rref(rows, gf)[1])
-
-
-def fq_nullspace(rows, gf):
-    """Canonical nullspace basis as tuples of packed elements."""
-    if not rows:
-        return []
-    f = fq_arith(gf)
-    return _packed_rows(f, np.array(modp_nullspace(f.index(rows), f), dtype=np.int64))
 
 
 def fq_inv(rows, gf):

@@ -23,15 +23,17 @@ import random
 import sys
 
 from . import _linalg, autgroup, nuclei
+from .autgroup import GL_GUARD_AUT
 from .errors import (
     EnumerationGuardError,
     FieldTooLargeError,
     ParamError,
     RankMetricError,
 )
-from .gf import field_create
+from .gf import MAX_FIELD_ORDER, field_create
 from .linpoly import LinearizedPoly, subspace_poly, reduce_mod_theta, poly_from_reduced, shift_support
 from .rankcode import (
+    ENUM_GUARD,
     CodeParams,
     apply_equivalence,
     build_gtg,
@@ -43,10 +45,13 @@ from .rankcode import (
 )
 
 DEFAULT_GUARDS = {
-    "max_codewords": 1 << 22,
-    "max_gl": 1 << 18,
-    "max_field": 1 << 24,
+    "max_codewords": ENUM_GUARD,
+    "max_gl": GL_GUARD_AUT,
+    "max_field": MAX_FIELD_ORDER,
 }
+
+# top-level config sections and the JSON type each must have
+_SECTION_TYPES = {"field": dict, "params": dict, "guards": dict, "output": dict, "tasks": list}
 
 
 # ----------------------------------------------------------------------------
@@ -63,6 +68,10 @@ def _load_config(path):
         raise ParamError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ParamError(f"config {path} must hold a JSON object")
+    for key, kind in _SECTION_TYPES.items():
+        if not isinstance(config.get(key, kind()), kind):
+            raise ParamError(f"config section {key} must be a JSON "
+                             f"{'object' if kind is dict else 'array'}, got {config[key]!r}")
     return config
 
 
@@ -77,6 +86,16 @@ def _as_int(value, what):
 
 def _as_ints(values, what):
     return [_as_int(v, what) for v in values]
+
+
+def _element(gf, digits, what):
+    """The element with F_p digit vector ``digits`` (constant first); a
+    vector longer than the field degree is a ParamError."""
+    digits = _as_ints(digits, what)
+    if len(digits) > gf.degree:
+        raise ParamError(f"{what} vector has {len(digits)} entries, more than "
+                         f"the field degree {gf.degree}")
+    return gf.from_coords(digits)
 
 
 def _merge_flags(config, args):
@@ -131,7 +150,7 @@ def resolve_field(config, guards):
 def resolve_eta(gf, selector):
     """Eta selector: "0", "nonsquare-min", or an F_p digit vector."""
     if isinstance(selector, (list, tuple)):
-        return gf.from_coords(_as_ints(selector, "eta digit"))
+        return _element(gf, selector, "eta digit")
     text = str(selector)
     if text == "0":
         return 0
@@ -142,7 +161,7 @@ def resolve_eta(gf, selector):
                 "is a square")
         return gf.generator  # xi = xi^1, the smallest odd generator exponent
     if text.startswith("digits:"):
-        return gf.from_coords(_as_ints(text[len("digits:"):].split(","), "eta digit"))
+        return _element(gf, text[len("digits:"):].split(","), "eta digit")
     raise ParamError(f"unrecognized eta selector {selector!r}")
 
 
@@ -151,7 +170,7 @@ def resolve_subspace(gf, selector, m):
     (semicolon-separated digit vectors).  Returns a SubspaceSpec with m
     elements; generic and subfield presets always start with 1."""
     if isinstance(selector, (list, tuple)):
-        alphas = [gf.from_coords(_as_ints(v, "subspace digit")) for v in selector]
+        alphas = [_element(gf, v, "subspace digit") for v in selector]
         return subspace_poly(gf, alphas)
     text = str(selector)
     if text.startswith("generic:"):
@@ -176,7 +195,7 @@ def resolve_subspace(gf, selector, m):
         return subspace_poly(gf, basis)
     if text.startswith("elems:"):
         vecs = [v for v in text[len("elems:"):].split(";") if v]
-        alphas = [gf.from_coords(_as_ints(v.split(","), "subspace digit")) for v in vecs]
+        alphas = [_element(gf, v.split(","), "subspace digit") for v in vecs]
         return subspace_poly(gf, alphas)
     raise ParamError(f"unrecognized subspace selector {selector!r}")
 
@@ -511,6 +530,10 @@ def _random_gl(gf, n, rng):
 # entry point
 # ----------------------------------------------------------------------------
 
+UNSAFE_LIMITS_HELP = ("lift the max_codewords, max_gl and max_field guards; the fixed "
+                      "n^2 <= 36, subspace, span and normalizer guards still apply")
+
+
 def _add_instance_flags(sub):
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--p", type=int)
@@ -524,8 +547,7 @@ def _add_instance_flags(sub):
     sub.add_argument("--eta", help='"0", "nonsquare-min", or digits:...')
     sub.add_argument("--subspace", help='"generic:SEED", "subfield:L", or elems:...')
     sub.add_argument("--output", help="output path, - for stdout")
-    sub.add_argument("--unsafe-limits", action="store_true",
-                     help="lift enumeration guards (acknowledged)")
+    sub.add_argument("--unsafe-limits", action="store_true", help=UNSAFE_LIMITS_HELP)
 
 
 def main(argv=None) -> int:
@@ -539,7 +561,7 @@ def main(argv=None) -> int:
     sweep = subs.add_parser("sweep")
     sweep.add_argument("--config", required=True, help="JSON config with a grid")
     sweep.add_argument("--output", help="CSV path, - for stdout")
-    sweep.add_argument("--unsafe-limits", action="store_true")
+    sweep.add_argument("--unsafe-limits", action="store_true", help=UNSAFE_LIMITS_HELP)
     subs.add_parser("selfcheck")
 
     args = parser.parse_args(argv)

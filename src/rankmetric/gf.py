@@ -230,15 +230,14 @@ class FieldSpec:
         if p != 2 and self.order <= _TABLE_LIMIT:
             self._digits_cache = [tuple(self._int_digits(v)) for v in range(self.order)]
 
-        # generator of F_q over F_p and its power basis (for vec_repr grouping)
-        if e == 1:
-            self._qgen_powers = (1,)
-        else:
-            g = self.pow(self.generator, (self.order - 1) // (self.q - 1))
-            self._qgen_powers = tuple(self.pow(g, t) for t in range(e))
+        # F_p-coordinates of (1, g, ..., g^(e-1)), g generating F_q^*: the
+        # F_p digits (d_0, ..., d_(e-1)) stand for sum d_t g^t in F_q
+        g = self.subfield_generator(1)
+        self._qgen_coords = np.array([self.coords(self.pow(g, t)) for t in range(e)], dtype=np.int64)
+        self._digit_weights = p ** np.arange(self.degree, dtype=np.int64)
 
         self._subfield_cache: dict[int, tuple] = {}
-        self._vecrepr_cache: dict[tuple, tuple] = {}
+        self._vecrepr_cache: dict[tuple, np.ndarray] = {}
         self._interp_cache: dict[tuple, list] = {}
         self._misc_cache: dict = {}
 
@@ -409,16 +408,21 @@ class FieldSpec:
 
     # -- subfields ---------------------------------------------------------
 
-    def subfield_list(self, ell: int) -> tuple:
-        """All q^ell elements fixed by x -> x^(q^ell), sorted; ell | n."""
+    def subfield_generator(self, ell: int) -> int:
+        """xi^((q^n - 1)/(q^ell - 1)), of multiplicative order q^ell - 1,
+        so F_q[g] = F_{q^ell}; ell | n."""
         if self.n % ell != 0:
             raise NotADivisorError(f"ell = {ell} does not divide n = {self.n}")
+        return self.pow(self.generator, (self.order - 1) // (self.q ** ell - 1))
+
+    def subfield_list(self, ell: int) -> tuple:
+        """All q^ell elements fixed by x -> x^(q^ell), sorted; ell | n."""
         if ell not in self._subfield_cache:
+            g = self.subfield_generator(ell)
             size = self.q ** ell
             if size == self.order:
                 elems = tuple(range(self.order))
             else:
-                g = self.pow(self.generator, (self.order - 1) // (size - 1))
                 seen = {0}
                 v = 1
                 for _ in range(size - 1):
@@ -438,54 +442,46 @@ class FieldSpec:
     # -- coordinates over F_q -------------------------------------------------
 
     def power_basis(self) -> tuple:
-        """(1, xi, ..., xi^(n-1)), the default F_q-basis of F_{q^n}."""
-        return tuple(self.pow(self.generator, i) for i in range(self.n))
+        """(1, xi, ..., xi^(n-1)), the default F_q-basis of F_{q^n} (cached)."""
+        if "power_basis" not in self._misc_cache:
+            self._misc_cache["power_basis"] = tuple(self.pow(self.generator, i) for i in range(self.n))
+        return self._misc_cache["power_basis"]
 
-    def _vecrepr_solver(self, basis):
-        key = tuple(basis)
-        if key not in self._vecrepr_cache:
-            if len(key) != self.n:
-                raise DependentBasisError(
-                    f"need {self.n} basis elements, got {len(key)}")
-            cols = []
-            for b in key:
-                for g in self._qgen_powers:
-                    cols.append(self.coords(self.mul(g, b)))
-            t = np.array(cols, dtype=np.int64).T  # degree x degree
-            try:
-                tinv = _linalg.modp_inv(t, self.p)
-            except Exception as exc:
-                raise DependentBasisError("basis is F_q-linearly dependent") from exc
-            self._vecrepr_cache[key] = tinv
-        return self._vecrepr_cache[key]
-
-    def vec_repr(self, a: int, basis=None) -> tuple:
-        """Coordinates of a over F_q in the given (default: power) basis."""
-        if basis is None:
-            basis = self.power_basis()
-        tinv = self._vecrepr_solver(basis)
-        return self.from_qdigits((tinv @ np.array(self.coords(a), dtype=np.int64)) % self.p, self.n)
+    def vec_repr(self, a: int, basis=None):
+        """Coordinates of a over F_q in ``basis``, any F_q-independent
+        tuple (default: the power basis), or None when a lies outside its
+        span.  Raises DependentBasisError for a dependent tuple."""
+        basis = self.power_basis() if basis is None else tuple(basis)
+        if basis not in self._vecrepr_cache:
+            # one F_p solve per basis: E with E T = RREF(T), the columns of
+            # T the F_p-coordinates of g^t b (b in basis, t < e)
+            gens = [self.from_coords(c) for c in self._qgen_coords]
+            cols = [self.coords(self.mul(g, b)) for b in basis for g in gens]
+            t = np.array(cols, dtype=np.int64).reshape(-1, self.degree).T
+            _, e_, pivots = _linalg.modp_reduction(t, self.p)
+            if pivots != list(range(t.shape[1])):
+                raise DependentBasisError("basis is F_q-linearly dependent")
+            self._vecrepr_cache[basis] = e_
+        x = self._vecrepr_cache[basis] @ np.array(self.coords(a), dtype=np.int64) % self.p
+        if x[len(basis) * self.e:].any():
+            return None
+        return self.from_qdigits(x, len(basis))
 
     def from_qdigits(self, x, count: int) -> tuple:
         """The ``count`` F_q elements whose F_p-coordinates over the F_q
-        power basis (1, g, ..., g^(e-1)) are x[j*e : (j+1)*e], j < count."""
-        e, out = self.e, []
-        for j in range(count):
-            c = 0
-            for t in range(e):
-                c = self.add(c, self.mul(int(x[j * e + t]), self._qgen_powers[t]))
-            out.append(c)
-        return tuple(out)
+        power basis (1, g, ..., g^(e-1)) are x[j*e : (j+1)*e], j < count,
+        decoded at once through the stored coordinates of the g^t."""
+        digits = np.asarray(x, dtype=np.int64)[:count * self.e].reshape(count, self.e)
+        return tuple((digits @ self._qgen_coords % self.p @ self._digit_weights).tolist())
 
     def fq_json(self, x):
         """JSON form of an F_q element: an int if q is prime, else coordinates."""
         return int(x) if self.e == 1 else [int(d) for d in self.coords(x)]
 
-    def from_vec(self, coords, basis=None) -> int:
-        if basis is None:
-            basis = self.power_basis()
+    def from_vec(self, coords) -> int:
+        """The element with F_q-coordinates ``coords`` in the power basis."""
         a = 0
-        for c, b in zip(coords, basis):
+        for c, b in zip(coords, self.power_basis()):
             a = self.add(a, self.mul(c, b))
         return a
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from math import gcd
 
-import numpy as np
-
 from . import _linalg
 from .errors import (
     DependentSetError,
@@ -158,7 +156,6 @@ class SubspaceSpec:
         self._moore = {}
         self._moore_inv = {}
         self._monomial_table = {}
-        self._alpha_solver = None
 
     # -- the subspace itself ---------------------------------------------
 
@@ -223,23 +220,9 @@ class SubspaceSpec:
     # -- coordinates in the alpha basis ------------------------------------
 
     def alpha_coords(self, u: int):
-        """Coordinates of u over F_q in the basis S; None if u not in U_S."""
-        gf = self.gf
-        if self._alpha_solver is None:
-            cols = []
-            for a in self.alphas:
-                for g in gf._qgen_powers:
-                    cols.append(gf.coords(gf.mul(g, a)))
-            t = np.array(cols, dtype=np.int64).T
-            self._alpha_solver = _linalg.modp_reduction(t, gf.p)
-        _, e_, pivots = self._alpha_solver
-        b = (e_ @ np.array(gf.coords(u), dtype=np.int64)) % gf.p
-        ncols = self.m * gf.e
-        if pivots != list(range(ncols)):
-            raise DependentSetError("alpha basis unexpectedly dependent")
-        if b[ncols:].any():
-            return None
-        return gf.from_qdigits(b, self.m)
+        """Coordinates of u over F_q in the basis S; None if u not in U_S
+        (``gf.vec_repr`` on the partial basis alphas)."""
+        return self.gf.vec_repr(u, self.alphas)
 
     def __repr__(self):
         return f"SubspaceSpec(m={self.m}, n={self.gf.n}, q={self.gf.q})"
@@ -285,11 +268,6 @@ def reduce_mod_theta(f: LinearizedPoly, S: SubspaceSpec, s: int) -> tuple:
     inv = S.moore_inverse(s)
     values = [f(a) for a in S.alphas]
     return _matvec(inv, values, S.gf)
-
-
-def reduce_values_mod_theta(values, S: SubspaceSpec, s: int) -> tuple:
-    """Same as reduce_mod_theta but from precomputed values f(alpha_i)."""
-    return _matvec(S.moore_inverse(s), list(values), S.gf)
 
 
 def poly_from_reduced(S: SubspaceSpec, s: int, reduced) -> LinearizedPoly:
@@ -338,18 +316,13 @@ def poly_from_values(gf, points, values) -> LinearizedPoly:
     return LinearizedPoly(gf, _matvec(inv, list(values), gf))
 
 
-def poly_to_matrix(phi: LinearizedPoly, basis=None):
-    """Row-convention matrix Y of phi over F_q: row i gives the
-    coordinates of phi(basis_i), so v(phi(x))^T = v(x)^T Y."""
+def poly_to_matrix(phi: LinearizedPoly):
+    """Row-convention matrix Y of phi over F_q in the power basis: row i
+    gives the coordinates of phi(xi^i), so v(phi(x))^T = v(x)^T Y."""
     gf = phi.gf
-    if basis is None:
-        basis = gf.power_basis()
-    return tuple(gf.vec_repr(phi(b), basis) for b in basis)
+    return tuple(gf.vec_repr(phi(b)) for b in gf.power_basis())
 
 
-def matrix_to_poly(gf, mat, basis=None) -> LinearizedPoly:
+def matrix_to_poly(gf, mat) -> LinearizedPoly:
     """Inverse of poly_to_matrix."""
-    if basis is None:
-        basis = gf.power_basis()
-    values = [gf.from_vec(row, basis) for row in mat]
-    return poly_from_values(gf, basis, values)
+    return poly_from_values(gf, gf.power_basis(), [gf.from_vec(row) for row in mat])

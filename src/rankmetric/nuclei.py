@@ -117,7 +117,7 @@ def largest_linearity_field(S: SubspaceSpec) -> int:
     """Largest ell (a divisor of n) with F_{q^ell} U_S = U_S."""
     gf = S.gf
     for ell in sorted(_divisors(gf.n), reverse=True):
-        g = _subfield_generator(gf, ell)
+        g = gf.subfield_generator(ell)
         # F_{q^ell} = F_q[g], so closure under g suffices
         if all(S.alpha_coords(gf.mul(g, a)) is not None for a in S.alphas):
             return ell
@@ -133,18 +133,9 @@ def smallest_containing_subfield(S: SubspaceSpec) -> int:
     return gf.n
 
 
-def _subfield_generator(gf, ell):
-    """An element generating F_{q^ell} over F_q (multiplicative order
-    q^ell - 1, hence F_q[g] = F_{q^ell})."""
-    size = gf.q ** ell
-    if size == 2:
-        return 1
-    return gf.pow(gf.generator, (gf.order - 1) // (size - 1))
-
-
 def subfield_fq_basis(gf, ell):
     """(1, g, ..., g^(ell-1)): an F_q-basis of F_{q^ell}."""
-    g = _subfield_generator(gf, ell)
+    g = gf.subfield_generator(ell)
     return tuple(gf.pow(g, t) for t in range(ell))
 
 

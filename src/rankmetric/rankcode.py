@@ -161,12 +161,9 @@ class GtgGenerators:
             f = f + self.slot_poly(i, a)
         return f
 
-    def expand(self, basis=None) -> list:
-        """nk generator polynomials, slot-major over the field basis."""
-        gf = self.gf
-        if basis is None:
-            basis = gf.power_basis()
-        return [self.slot_poly(i, b) for i in range(self.params.k) for b in basis]
+    def expand(self) -> list:
+        """nk generator polynomials, slot-major over the power basis."""
+        return [self.slot_poly(i, b) for i in range(self.params.k) for b in self.gf.power_basis()]
 
 
 def build_gtg(params: CodeParams) -> GtgGenerators:
@@ -252,14 +249,14 @@ class RankCode:
         return f"RankCode(q={self.gf.q}, m={self.m}, n={self.n}, dim={self.dim})"
 
 
-def project_code(generators, S: SubspaceSpec, basis=None, provenance=None) -> RankCode:
+def project_code(generators, S: SubspaceSpec, provenance=None) -> RankCode:
     """Matrix form of a polynomial family: row i of the codeword for f is
     the coordinate vector of f(alpha_i)."""
     if isinstance(generators, GtgGenerators):
         if generators.params.k >= S.m:
             raise ParamError(
                 f"projection needs k < m (k={generators.params.k}, m={S.m})")
-        polys = generators.expand(basis)
+        polys = generators.expand()
         if provenance is None:
             p_ = generators.params
             provenance = {
@@ -271,11 +268,7 @@ def project_code(generators, S: SubspaceSpec, basis=None, provenance=None) -> Ra
     else:
         polys = list(generators)
     gf = S.gf
-    if basis is None:
-        basis = gf.power_basis()
-    mats = []
-    for f in polys:
-        mats.append(tuple(gf.vec_repr(f(a), basis) for a in S.alphas))
+    mats = [tuple(gf.vec_repr(f(a)) for a in S.alphas) for f in polys]
     if _linalg.fq_rank([list(mat_vec(mm)) for mm in mats], gf) != len(mats):
         raise DimensionCollapseError(
             "projected generators are F_q-dependent (k >= m misuse?)")

@@ -222,7 +222,15 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ['{"field": {"p": 3,', '[3, 1, 4]'], ids=["truncated", "not-an-object"])
+SMALL_INSTANCE = {"field": {"p": 3, "e": 1, "n": 3},
+                  "params": {"m": 2, "k": 1, "s": 1, "h": 0, "eta": "0"}}
+WRONG_SECTIONS = [{"field": 5}, {"params": "x"}, {"guards": 5}, {"output": "x"}, {"tasks": 5}]
+
+
+@pytest.mark.parametrize("text", ['{"field": {"p": 3,', '[3, 1, 4]']
+                         + [json.dumps({**SMALL_INSTANCE, **bad}) for bad in WRONG_SECTIONS],
+                         ids=["truncated", "not-an-object"]
+                         + [f"{next(iter(bad))}-wrong-type" for bad in WRONG_SECTIONS])
 def test_malformed_config_file_exits_2(tmp_path, capsys, text):
     cfg = tmp_path / "bad.json"
     cfg.write_text(text)
@@ -266,6 +274,41 @@ def test_sweep_bad_eta_digits_lands_in_error_column(tmp_path):
         by_eta = {r["eta"]: r for r in csv.DictReader(fh)}
     assert by_eta["0"]["error"] == "" and by_eta["0"]["mrd"] == "True"
     assert "ParamError" in by_eta["digits:x"]["error"]
+
+
+def test_sweep_guards_of_wrong_type_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"grid": {}, "guards": 5}))
+    rc = run(["sweep", "--config", str(cfg), "--output", "-"])
+    assert rc == 2
+    assert "invalid configuration: ParamError: config section guards" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--subspace", "elems:1,0,0,0,0,1;0,1,0,0;0,0,1,0"),
+    ("--eta", "digits:1,0,0,0,1"),
+])
+def test_digit_vector_longer_than_the_degree_exits_2(capsys, flag, value):
+    args = ["construct", "--p", "3", "--e", "1", "--n", "4", "--m", "3", "--k", "1",
+            "--s", "1", "--h", "0", "--eta", "0", "--subspace", "generic:0", "--output", "-"]
+    args[args.index(flag) + 1] = value
+    assert run(args) == 2
+    assert "more than the field degree 4" in capsys.readouterr().err
+
+
+def test_sweep_long_digit_vector_lands_in_error_column(tmp_path):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"grid": {
+        "p": [3], "e": [1], "n": [4], "m": [3], "k": [1], "s": [1], "h": [1], "eta": ["0"],
+        "subspace": ["elems:1,0,0,0,0,1;0,1,0,0;0,0,1,0", "generic:0"],
+    }}))
+    out = tmp_path / "err.csv"
+    assert run(["sweep", "--config", str(cfg), "--output", str(out)]) == 0
+    import csv
+    with open(out) as fh:
+        by_sub = {r["subspace"]: r for r in csv.DictReader(fh)}
+    assert by_sub["generic:0"]["error"] == "" and by_sub["generic:0"]["mrd"] == "True"
+    assert "ParamError" in by_sub["elems:1,0,0,0,0,1;0,1,0,0;0,0,1,0"]["error"]
 
 
 @pytest.mark.parametrize("grid", [{"p": 3, "e": [1], "n": [3]}, [3, 1, 3]], ids=["scalar-axis", "list-grid"])

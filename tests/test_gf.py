@@ -189,6 +189,36 @@ def test_vec_repr_rejects_dependent_basis(f16):
         f16.vec_repr(xi, (1, xi, f16.add(1, xi), f16.pow(xi, 3)))
 
 
+@pytest.mark.parametrize("pen, m", [((3, 1, 4), 3), ((2, 2, 3), 2)], ids=["F81-m3", "F4^3-m2"])
+def test_vec_repr_on_a_partial_basis_matches_enumeration(pen, m):
+    from rankmetric.linpoly import subspace_poly
+
+    gf = field_create(*pen)
+    xi = gf.generator
+    S = subspace_poly(gf, [gf.pow(xi, 2 * i) for i in range(m)])
+    inside = S.subspace_set()
+    for u in gf.elements():
+        coords = gf.vec_repr(u, S.alphas)
+        assert (coords is None) == (u not in inside)
+        if coords is not None:
+            total = 0
+            for c, a in zip(coords, S.alphas):
+                total = gf.add(total, gf.mul(c, a))
+            assert total == u
+
+
+def test_vec_repr_rejects_dependent_partial_basis(f81):
+    xi = f81.generator
+    with pytest.raises(DependentBasisError):
+        f81.vec_repr(xi, (1, xi, f81.add(1, xi)))
+    # over F_4 < F_(4^3), (xi, g xi) with g in F_4 is F_2-independent but
+    # F_4-dependent
+    gf = field_create(2, 2, 3)
+    g = gf.subfield_generator(1)
+    with pytest.raises(DependentBasisError):
+        gf.vec_repr(gf.generator, (gf.generator, gf.mul(g, gf.generator)))
+
+
 # -- axioms at volume -----------------------------------------------------
 
 def test_field_axioms_random_sample(f81, f64):
