@@ -118,11 +118,7 @@ class TableField(_EntryRows):
         self.p, self.q = p, q
         self._fq = np.array(gf.fq_list(), dtype=np.int64)
         self._weights = p ** np.arange(e, dtype=np.int64)
-        g = gf.subfield_generator(1)
-        powers = [gf.one]
-        for _ in range(q - 2):
-            powers.append(gf.mul(powers[-1], g))
-        exp = self.index(powers)  # exp[k] = index of g^k
+        exp = self.index(gf.powers(gf.subfield_generator(1), q - 1))  # exp[k] = index of g^k
         self._exp = np.concatenate([exp, exp, np.zeros(2 * q - 1, dtype=np.int64)])
         self._log = np.full(q, 2 * (q - 1), dtype=np.int64)
         self._log[exp] = np.arange(q - 1)

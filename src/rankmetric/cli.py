@@ -129,7 +129,10 @@ def _guards(config):
     out.update(config.get("guards", {}))
     for key in DEFAULT_GUARDS:
         out[key] = _as_int(out[key], f"guards.{key}")
-    if out.get("unsafe"):
+    unsafe = out.get("unsafe", False)
+    if not isinstance(unsafe, bool):
+        raise ParamError(f"guards.unsafe must be true or false, got {unsafe!r}")
+    if unsafe:
         big = 1 << 62
         out.update(max_codewords=big, max_gl=big, max_field=big)
     return out
@@ -216,8 +219,11 @@ def resolve_instance(config, guards):
 
 def _write_output(config, text):
     """Write to the configured output path (stdout for "-"); a path that
-    cannot be written is a ParamError (exit 2), not a traceback."""
+    is not a string or cannot be written is a ParamError (exit 2), not a
+    traceback."""
     path = config.get("output", {}).get("path", "-")
+    if not isinstance(path, str):
+        raise ParamError(f"output.path must be a string, got {path!r}")
     if path == "-":
         sys.stdout.write(text)
         return
@@ -407,6 +413,20 @@ def run_selfcheck() -> int:
                 if a:
                     assert gf.mul(a, gf.inv(a)) == gf.one
     _check("field axioms (12k random triples)", field_axioms, failures)
+
+    def power_tables():
+        prng = random.Random(20240408)
+        for gf in (f16, f64, f81):
+            for _ in range(500):
+                a, b = prng.randrange(gf.order), prng.randrange(gf.order)
+                assert gf.mul(a, b) == gf._mul_generic(a, b), (gf, a, b)
+        f4 = field_create(2, 2, 3)
+        f, g = _linalg.fq_arith(f4), f4.subfield_generator(1)
+        chain = [f4.one]
+        for _ in range(f4.q - 2):
+            chain.append(f4.mul(chain[-1], g))
+        assert f.packed(f._exp[:f4.q - 1]).tolist() == chain
+    _check("exp/log tables agree with schoolbook products; F_4 table inside F_64", power_tables, failures)
 
     def frobenius_hom():
         for gf in (f64, f81):

@@ -16,8 +16,9 @@ Determinism:
   order q^n - 1 in the same constant-first ordering.
 
 For orders up to 2^16 the spec precomputes exp/log tables over the
-generator, making mul, inv and Frobenius O(1); beyond that (the guard
-admits orders up to 2^24) schoolbook polynomial arithmetic is used.
+generator (one ``powers`` call), making mul, inv and Frobenius O(1);
+beyond that (the guard admits orders up to 2^24) schoolbook polynomial
+arithmetic is used.
 All specs and elements are immutable, so concurrent use is safe.
 """
 
@@ -208,33 +209,29 @@ class FieldSpec:
             cur = cur + [0] * (self.degree - len(cur))
             self._xred.append(list(cur))
 
+        self._digit_weights = p ** np.arange(self.degree, dtype=np.int64)
         self._exp = None
         self._log = None
         self._unit_factors = factorize(self.order - 1) if self.order > 2 else {}
         self.generator = self._find_generator()
 
-        # fast tables
-        if self.order <= _TABLE_LIMIT:
-            exp = [0] * (self.order - 1)
-            log = [-1] * self.order
-            v = 1
-            for i in range(self.order - 1):
-                exp[i] = v
-                log[v] = i
-                v = self._mul_generic(v, self.generator)
-            self._exp = exp
-            self._log = log
-
-        # digit tuples, for p > 2 addition
+        # fast tables: exp[i] = generator^i, log its inverse permutation
+        # (log[0] = -1), digit tuples for p > 2 addition
         self._digits_cache = None
-        if p != 2 and self.order <= _TABLE_LIMIT:
-            self._digits_cache = [tuple(self._int_digits(v)) for v in range(self.order)]
+        if self.order <= _TABLE_LIMIT:
+            exp = self.powers(self.generator, self.order - 1)
+            log = np.full(self.order, -1, dtype=np.int64)
+            log[exp] = np.arange(self.order - 1)
+            self._exp = exp.tolist()
+            self._log = log.tolist()
+            if p != 2:
+                digits = np.arange(self.order)[:, None] // self._digit_weights % p
+                self._digits_cache = list(map(tuple, digits.tolist()))
 
         # F_p-coordinates of (1, g, ..., g^(e-1)), g generating F_q^*: the
         # F_p digits (d_0, ..., d_(e-1)) stand for sum d_t g^t in F_q
         g = self.subfield_generator(1)
-        self._qgen_coords = np.array([self.coords(self.pow(g, t)) for t in range(e)], dtype=np.int64)
-        self._digit_weights = p ** np.arange(self.degree, dtype=np.int64)
+        self._qgen_coords = self.powers(g, e)[:, None] // self._digit_weights % p
 
         self._subfield_cache: dict[int, tuple] = {}
         self._vecrepr_cache: dict[tuple, np.ndarray] = {}
@@ -359,6 +356,31 @@ class FieldSpec:
             t >>= 1
         return result
 
+    def powers(self, g: int, count: int) -> np.ndarray:
+        """The packed g^0, ..., g^(count-1) as an int64 array.
+
+        Multiplication by g is F_p-linear: row j of the d x d matrix S_g
+        holds coords(g x^j), so coords(v g) = coords(v) S_g mod p and
+        S_(ab) = S_a S_b.  A first block of digit rows g^0, ..., g^(B-1),
+        B about sqrt(count), is doubled by squaring (S_(g^2L) = S_(g^L)^2);
+        each further block is the previous one times S_(g^B), packed as it
+        is made, so the count x d digit matrix is never held.  Products
+        stay below d (p-1)^2 < 2^63, which holds for every field under
+        the default guards."""
+        p, d = self.p, self.degree
+        step = np.array([self.coords(self._mul_generic(g, p ** j)) for j in range(d)], dtype=np.int64)
+        block = np.eye(1, d, dtype=np.int64)
+        while len(block) ** 2 < count:
+            block = np.concatenate([block, block @ step % p])
+            step = step @ step % p
+        out = np.empty(count, dtype=np.int64)
+        size = len(block)
+        for start in range(0, count, size):
+            if start:
+                block = block @ step % p
+            out[start:start + size] = (block @ self._digit_weights)[:count - start]
+        return out
+
     # -- Frobenius and norms -------------------------------------------------
 
     def frobenius(self, a: int, j: int) -> int:
@@ -423,12 +445,7 @@ class FieldSpec:
             if size == self.order:
                 elems = tuple(range(self.order))
             else:
-                seen = {0}
-                v = 1
-                for _ in range(size - 1):
-                    seen.add(v)
-                    v = self.mul(v, g)
-                elems = tuple(sorted(seen))
+                elems = tuple(sorted([0] + self.powers(g, size - 1).tolist()))
             self._subfield_cache[ell] = elems
         return self._subfield_cache[ell]
 
@@ -444,7 +461,7 @@ class FieldSpec:
     def power_basis(self) -> tuple:
         """(1, xi, ..., xi^(n-1)), the default F_q-basis of F_{q^n} (cached)."""
         if "power_basis" not in self._misc_cache:
-            self._misc_cache["power_basis"] = tuple(self.pow(self.generator, i) for i in range(self.n))
+            self._misc_cache["power_basis"] = tuple(self.powers(self.generator, self.n).tolist())
         return self._misc_cache["power_basis"]
 
     def vec_repr(self, a: int, basis=None):

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rankmetric
 from rankmetric.cli import main
+
+SRC = str(Path(rankmetric.__file__).resolve().parents[1])
 
 
 def run(args):
@@ -336,3 +343,60 @@ def test_sweep_output_in_missing_directory_exits_2(tmp_path, capsys):
     rc = run(["sweep", "--config", str(cfg), "--output", str(out)])
     assert rc == 2
     assert f"cannot write output {out}" in capsys.readouterr().err
+
+
+SMALL_CONSTRUCT = {
+    "field": {"p": 2, "e": 1, "n": 4},
+    "params": {"m": 3, "k": 1, "s": 1, "h": 0, "eta": "0"},
+    "subspace": "generic:0",
+    "tasks": ["mrd"],
+}
+
+
+@pytest.mark.parametrize("unsafe", ["false", 1], ids=["string", "int"])
+def test_unsafe_guard_that_is_not_a_boolean_exits_2(tmp_path, capsys, unsafe):
+    # a truthy non-boolean must not lift max_field = 8 below the F_16 asked for
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(SMALL_CONSTRUCT, guards={"max_field": 8, "unsafe": unsafe})))
+    rc = run(["construct", "--config", str(cfg), "--output", "-"])
+    assert rc == 2
+    assert f"guards.unsafe must be true or false, got {unsafe!r}" in capsys.readouterr().err
+
+
+def test_sweep_unsafe_guard_that_is_not_a_boolean_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"grid": {
+        "p": [2], "e": [1], "n": [4], "m": [3], "k": [1], "s": [1], "h": [0],
+        "eta": ["0"], "subspace": ["generic:0"],
+    }, "guards": {"unsafe": "false"}}))
+    rc = run(["sweep", "--config", str(cfg), "--output", "-"])
+    assert rc == 2
+    assert "guards.unsafe must be true or false" in capsys.readouterr().err
+
+
+def test_output_path_that_is_a_list_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(SMALL_CONSTRUCT, output={"path": [1]})))
+    rc = run(["construct", "--config", str(cfg)])
+    assert rc == 2
+    assert "output.path must be a string, got [1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", ["pipe-fd", True])
+def test_output_path_that_is_a_number_or_boolean_exits_2(tmp_path, path):
+    # open() takes an int (and so a bool) as a file descriptor; run in a
+    # child so a wrong write lands in the child's pipe or stdout, not ours
+    r, w = os.pipe()
+    try:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(SMALL_CONSTRUCT, output={"path": w if path == "pipe-fd" else path})))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "rankmetric.cli", "construct", "--config", str(cfg)],
+                              env=env, capture_output=True, pass_fds=(w,), timeout=120)
+    finally:
+        os.close(w)
+    with os.fdopen(r, "rb") as fh:
+        leaked = fh.read()
+    assert proc.returncode == 2
+    assert proc.stdout == b"" and leaked == b""
+    assert b"output.path must be a string" in proc.stderr

@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from rankmetric import _linalg
 from rankmetric.errors import (
     DependentBasisError,
     FieldTooLargeError,
@@ -242,6 +244,61 @@ def test_generic_path_matches_tables(f81):
     for _ in range(500):
         a, b = rng.randrange(81), rng.randrange(81)
         assert f81._mul_generic(a, b) == f81.mul(a, b)
+
+
+# -- power tables against the schoolbook chain -----------------------------
+
+def _chain(gf, g, count, mul):
+    out = [gf.one] if count else []
+    while len(out) < count:
+        out.append(mul(out[-1], g))
+    return out
+
+
+# (2,1,16) and (251,1,2) are the largest fields under the 2^16 table limit
+@pytest.mark.parametrize("pen", [(2, 1, 1), (2, 1, 2), (3, 1, 1), (2, 1, 4), (3, 1, 4), (2, 2, 3),
+                                 (5, 1, 6), (7, 2, 2), (2, 1, 16), (251, 1, 2)],
+                         ids=lambda pen: "p%d-e%d-n%d" % pen)
+def test_exp_log_and_digit_tables_match_the_schoolbook_chain(pen):
+    gf = field_create(*pen)
+    exp = _chain(gf, gf.generator, gf.order - 1, gf._mul_generic)
+    log = [-1] * gf.order
+    for i, v in enumerate(exp):
+        log[v] = i
+    assert gf._exp == exp
+    assert gf._log == log
+    if gf.p == 2:
+        assert gf._digits_cache is None
+    else:
+        assert gf._digits_cache == [tuple(gf._int_digits(v)) for v in range(gf.order)]
+
+
+@pytest.mark.parametrize("pen", [(2, 1, 6), (2, 2, 3), (3, 1, 6)], ids=lambda pen: "p%d-e%d-n%d" % pen)
+def test_subfield_list_is_the_fixed_field_of_frobenius(pen):
+    gf = field_create(*pen)
+    for ell in range(1, gf.n + 1):
+        if gf.n % ell == 0:
+            assert gf.subfield_list(ell) == tuple(a for a in gf.elements() if gf.frobenius(a, ell) == a)
+
+
+@pytest.mark.parametrize("pen", [(2, 2, 3), (3, 2, 3), (2, 12, 2)], ids=lambda pen: "p%d-e%d-n%d" % pen)
+def test_table_field_exp_matches_the_mul_chain(pen):
+    # (2,12,2) is F_(2^24): above the table limit gf.mul is schoolbook
+    gf = field_create(*pen)
+    f = _linalg.fq_arith(gf)
+    assert f.packed(f._exp[:gf.q - 1]).tolist() == _chain(gf, gf.subfield_generator(1), gf.q - 1, gf.mul)
+
+
+@pytest.mark.parametrize("pen", [(3, 1, 4), (2, 1, 20)], ids=lambda pen: "p%d-e%d-n%d" % pen)
+def test_powers_match_the_mul_chain_at_block_edges(pen):
+    # blocks hold B rows, B the least power of 2 with B^2 >= count:
+    # 16 and 64 fill whole blocks, 17 and 65 start one more
+    gf = field_create(*pen)
+    for g in (0, 1, gf.generator, gf.pow(gf.generator, 7)):
+        for count in (0, 1, 2, 5, 16, 17, 64, 65):
+            got = gf.powers(g, count)
+            assert got.dtype == np.int64
+            assert got.tolist() == _chain(gf, g, count, gf._mul_generic)
 
 
 # -- towers (e > 1) -------------------------------------------------------
