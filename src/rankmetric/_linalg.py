@@ -37,7 +37,7 @@ import numpy as np
 from .errors import SingularMatrixError
 
 __all__ = [
-    "STACK_BUDGET", "stack_chunks", "PrimeField", "TableField", "BitField", "fq_arith",
+    "STACK_BUDGET", "chunk_len", "stack_chunks", "PrimeField", "TableField", "BitField", "fq_arith",
     "modp_rref", "modp_rank", "modp_nullspace", "modp_dual", "modp_inv", "modp_reduction",
     "modp_span",
     "generic_rref", "generic_rank", "generic_nullspace", "generic_inv",
@@ -239,7 +239,7 @@ def _field(f):
 STACK_BUDGET = 1 << 14
 
 
-def _chunk_len(per_item):
+def chunk_len(per_item):
     """Items per stack, ``per_item`` entries each, that stay under
     STACK_BUDGET (at least one)."""
     return max(1, STACK_BUDGET // max(per_item, 1))
@@ -249,7 +249,7 @@ def stack_chunks(items, per_item):
     """Split ``items`` into lists whose stacks, ``per_item`` entries per
     item, stay under STACK_BUDGET (at least one item per list)."""
     it = iter(items)
-    size = _chunk_len(per_item)
+    size = chunk_len(per_item)
     while chunk := list(itertools.islice(it, size)):
         yield chunk
 
@@ -372,7 +372,7 @@ def modp_span(basis, p):
     k, width = basis.shape
     q = f.q
     powers = q ** np.arange(k, dtype=np.int64)
-    step = _chunk_len(width)
+    step = chunk_len(width)
     for start in range(0, q ** k, step):
         t = np.arange(start, min(start + step, q ** k), dtype=np.int64)
         yield f.matmul(t[:, None] // powers % q, basis)

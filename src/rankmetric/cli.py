@@ -76,8 +76,12 @@ def _load_config(path):
 
 
 def _as_int(value, what):
-    """A config value as an int; ParamError (exit 2, or the sweep row's
-    error column) instead of a ValueError traceback."""
+    """A config value (an integer, an integral float or a decimal string)
+    as an int; a boolean, a fractional float or anything else is a
+    ParamError (exit 2, or the sweep row's error column), never a
+    truncation or a traceback."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ParamError(f"{what} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError):
@@ -530,6 +534,22 @@ def run_selfcheck() -> int:
                 want = _linalg.generic_rref(mat, gf)
                 assert (f.packed(rmat).tolist(), [c for c in piv.tolist() if c >= 0]) == want
     _check("stacked F_q kernel agrees with generic_rref on packed F_2, F_4 and F_9", stacked_kernel, failures)
+
+    def histogram_paths():
+        from .rankcode import RankCode, _hist_by_codewords, _hist_by_subspaces, _small_side
+        f2_code = project_code(build_gtg(CodeParams(f64, 5, 2, 1, 1, 0)),
+                               subspace_poly(f64, [f64.pow(f64.generator, i) for i in range(5)]))
+        f729 = field_create(3, 2, 3)
+        hrng = random.Random(20240409)
+        mats = [[[hrng.choice(f729.fq_list()) for _ in range(3)] for _ in range(3)] for _ in range(4)]
+        mats[0] = [mats[0][0], mats[0][0], [0, 0, 0]]  # a rank-1 word
+        for code in (f2_code, RankCode(f729, 3, mats)):
+            basis = _small_side(code)
+            hist = _hist_by_codewords(code.gf, basis)
+            assert _hist_by_subspaces(code.gf, basis) == hist, (code, hist)
+            assert sum(hist) == code.cardinality
+    _check("rank histograms by codewords and by subspace counts agree on F_2 5x6 and F_9 3x3 codes",
+           histogram_paths, failures)
 
     if failures:
         print(f"{len(failures)} selfcheck item(s) failed")

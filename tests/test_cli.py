@@ -268,6 +268,57 @@ def test_non_integer_config_value_exits_2(tmp_path, capsys, section, key, args):
     assert f"{section}.{key} must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("field", "n", 4.9),
+    ("params", "m", 2.7),
+    ("params", "k", True),
+    ("guards", "max_codewords", 16.9),
+    ("guards", "max_codewords", False),
+], ids=["float-n", "float-m", "bool-k", "float-guard", "bool-guard"])
+def test_fractional_or_boolean_config_value_exits_2(tmp_path, capsys, section, key, value):
+    # int() would truncate 4.9 to 4 and read True as 1
+    config = {
+        "field": {"p": 3, "e": 1, "n": 4},
+        "params": {"m": 3, "k": 1, "s": 1, "h": 0, "eta": "0"},
+        "tasks": ["mrd"],
+        "guards": {},
+    }
+    config[section][key] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = run(["construct", "--config", str(cfg), "--output", "-"])
+    assert rc == 2
+    assert f"{section}.{key} must be an integer, got {value!r}" in capsys.readouterr().err
+
+
+def test_integral_float_config_value_is_read_as_an_integer(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"field": {"p": 3, "e": 1, "n": 4.0},
+                               "params": {"m": 3.0, "k": 1, "s": 1, "h": 0, "eta": "0"}}))
+    assert run(["construct", "--config", str(cfg), "--output", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["code"]["n"] == 4
+
+
+@pytest.mark.parametrize("axis, bad", [("n", 4.9), ("m", 2.7), ("k", True)])
+def test_sweep_fractional_or_boolean_axis_value_lands_in_error_column(tmp_path, axis, bad):
+    grid = {"p": [3], "e": [1], "n": [4], "m": [3], "k": [1], "s": [1],
+            "h": [1], "eta": ["0"], "subspace": ["generic:0"]}
+    grid[axis] = grid[axis] + [bad]
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"grid": grid}))
+    out = tmp_path / "err.csv"
+    assert run(["sweep", "--config", str(cfg), "--output", str(out)]) == 0
+    import csv
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    good, = [r for r in rows if r[axis] != str(bad)]
+    wrong, = [r for r in rows if r[axis] == str(bad)]
+    assert good["error"] == "" and good["mrd"] == "True"
+    assert f"ParamError: params.{axis} must be an integer" in wrong["error"] \
+        or f"ParamError: field.{axis} must be an integer" in wrong["error"]
+
+
 def test_sweep_bad_eta_digits_lands_in_error_column(tmp_path):
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps({"grid": {

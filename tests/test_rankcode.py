@@ -315,3 +315,117 @@ def test_odd_p_rank_histogram_matches_ranking_every_codeword(p, m, n, dim):
         slow[rank] += 1
     assert rank_weight_distribution(code) == slow
     assert slow[1] > 0
+
+
+# ----------------------------------------------------------------------------
+# the two histogram paths against each other and against generic_rank
+# ----------------------------------------------------------------------------
+
+def _random_code(gf, m, dim, seed):
+    """A random dim-dimensional code in F_q^(m x n) whose first basis
+    matrix has rank 1, so that d = 1 and low ranks occur."""
+    rng = random.Random(seed)
+    fq = gf.fq_list()
+    while True:
+        mats = [[[rng.choice(fq) for _ in range(gf.n)] for _ in range(m)] for _ in range(dim)]
+        if dim:
+            col = [rng.choice(fq[1:]) for _ in range(m)]
+            mats[0] = [[gf.mul(c, x) for x in mats[0][0]] for c in col]
+        try:
+            return RankCode(gf, m, mats)
+        except DimensionCollapseError:
+            continue
+
+
+def _generic_histogram(code):
+    from rankmetric import _linalg
+    hist = [0] * (min(code.m, code.n) + 1)
+    for w in code.codewords():
+        hist[_linalg.generic_rank([list(row) for row in w], code.gf)] += 1
+    return hist
+
+
+def _both_paths(code):
+    from rankmetric.rankcode import _hist_by_codewords, _hist_by_subspaces, _small_side
+    basis = _small_side(code)
+    return _hist_by_codewords(code.gf, basis), _hist_by_subspaces(code.gf, basis)
+
+
+def _subspaces_cheaper(q, m, n, dim):
+    from rankmetric.rankcode import _work
+    codewords, subspaces = _work(q, *sorted((m, n)), dim)
+    return subspaces < codewords
+
+
+# (p, e, n, m, dim): q in {2, 3, 4, 5, 7, 8}, each with a cell with m < n
+# on the subspace side of the cost rule and m = n on the codeword side
+HIST_CELLS = [
+    (2, 1, 5, 2, 10), (2, 1, 4, 3, 7), (2, 1, 4, 4, 9),
+    (3, 1, 3, 2, 6), (3, 1, 4, 3, 2), (3, 1, 3, 3, 5),
+    (2, 2, 3, 2, 5), (2, 2, 3, 3, 4),
+    (5, 1, 3, 2, 4), (5, 1, 3, 3, 3),
+    (7, 1, 3, 2, 3), (7, 1, 2, 2, 3),
+    (2, 3, 3, 2, 3), (2, 3, 2, 2, 3),
+]
+
+
+@pytest.mark.parametrize("p, e, n, m, dim", HIST_CELLS,
+                         ids=[f"q{p ** e}-m{m}-n{n}-dim{dim}" for p, e, n, m, dim in HIST_CELLS])
+def test_histogram_paths_agree_with_generic_rank(p, e, n, m, dim):
+    from rankmetric.gf import field_create
+    code = _random_code(field_create(p, e, n), m, dim, seed=1000 * p + 100 * e + 10 * m + dim)
+    want = _generic_histogram(code)
+    assert _both_paths(code) == (want, want)
+    assert rank_weight_distribution(code) == want
+    assert want[1] > 0 and min_distance(code) == 1
+
+
+def test_histogram_cells_lie_on_both_sides_of_the_cost_rule():
+    sides = {}
+    for p, e, n, m, dim in HIST_CELLS:
+        sides.setdefault(p ** e, set()).add(_subspaces_cheaper(p ** e, m, n, dim))
+    assert sides == {q: {True, False} for q in (2, 3, 4, 5, 7, 8)}
+
+
+def test_histogram_paths_agree_on_the_transposed_side():
+    # m > n: the paths work on the transposed basis, min(m, n) = n
+    from rankmetric.gf import field_create
+    for p, e, n, m, dim in [(3, 1, 2, 4, 4), (2, 2, 2, 3, 3), (2, 1, 3, 5, 8)]:
+        code = _random_code(field_create(p, e, n), m, dim, seed=m * n + dim)
+        want = _generic_histogram(code)
+        assert len(want) == n + 1
+        assert _both_paths(code) == (want, want)
+        assert rank_weight_distribution(code) == want
+
+
+@pytest.mark.parametrize("pen, m", [((2, 1, 3), 2), ((3, 1, 2), 2), ((2, 2, 2), 3), ((5, 1, 2), 2)],
+                         ids=["F2-2x3", "F3-2x2", "F4-3x2", "F5-2x2"])
+def test_histogram_paths_on_the_zero_code_and_the_full_space(pen, m):
+    from rankmetric.gf import field_create
+    gf = field_create(*pen)
+    n = gf.n
+    zero = RankCode(gf, m, [])
+    assert _both_paths(zero) == ([1] + [0] * min(m, n),) * 2
+    units = [[[gf.one if (r, c) == (i, j) else 0 for c in range(n)] for r in range(m)]
+             for i in range(m) for j in range(n)]
+    full = RankCode(gf, m, units)
+    want = _generic_histogram(full)
+    # the number of m x n matrices of rank i over F_q
+    q, small, big = gf.q, min(m, n), max(m, n)
+    for i in range(small + 1):
+        count = 1
+        for j in range(i):
+            count *= (q ** small - q ** j) * (q ** big - q ** j) // (q ** i - q ** j)
+        assert want[i] == count
+    assert _both_paths(full) == (want, want)
+
+
+def test_guard_fires_first_where_the_subspace_path_is_cheap():
+    from rankmetric.gf import field_create
+    code = _random_code(field_create(2, 1, 6), 2, 12, seed=7)
+    assert _subspaces_cheaper(2, 2, 6, 12)
+    with pytest.raises(EnumerationGuardError):
+        rank_weight_distribution(code, guard=code.cardinality - 1)
+    with pytest.raises(EnumerationGuardError):
+        is_mrd(code, guard=code.cardinality - 1)
+    assert sum(rank_weight_distribution(code, guard=code.cardinality)) == code.cardinality
