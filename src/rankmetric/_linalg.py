@@ -343,23 +343,22 @@ def modp_dual(basis, p):
 
 
 def modp_inv(a, p):
-    """Inverse of a square matrix, or of every matrix of a stack."""
-    a = np.asarray(a, dtype=np.int64)
-    n = a.shape[-1]
-    eye = np.broadcast_to(np.eye(n, dtype=np.int64), a.shape)
-    r, pivots = modp_rref(np.concatenate([a, eye], axis=-1), p, n)
-    if not (len(pivots) == n if r.ndim == 2 else (pivots >= 0).all()):
+    """Inverse of a square matrix, or of every matrix of a stack: the
+    reduction transform E, as E a = I."""
+    _, e_, pivots = modp_reduction(a, p)
+    if not (len(pivots) == e_.shape[-1] if e_.ndim == 2 else (pivots >= 0).all()):
         raise SingularMatrixError("matrix is singular over F_%d" % _field(p).q)
-    return r[..., n:]
+    return e_
 
 
 def modp_reduction(a, p):
-    """Row-reduction transform: returns (R, E, pivots) with E a = R."""
+    """Row-reduction transform of a matrix, or of every matrix of a
+    stack: returns (R, E, pivots) with E a = R."""
     a = np.asarray(a, dtype=np.int64)
-    nrows, ncols = a.shape
-    aug = np.concatenate([a, np.eye(nrows, dtype=np.int64)], axis=1)
-    raug, pivots = modp_rref(aug, p, ncols)
-    return raug[:, :ncols], raug[:, ncols:], pivots
+    nrows, ncols = a.shape[-2:]
+    eye = np.broadcast_to(np.eye(nrows, dtype=np.int64), a.shape[:-1] + (nrows,))
+    raug, pivots = modp_rref(np.concatenate([a, eye], axis=-1), p, ncols)
+    return raug[..., :ncols], raug[..., ncols:], pivots
 
 
 def modp_span(basis, p):

@@ -222,14 +222,9 @@ def normalizer_elements(nr_basis, gf, guard: int = GL_GUARD_NORMALIZER):
 def aut_bruteforce(code: RankCode, gl_guard: int = GL_GUARD_AUT):
     """The full automorphism group of the code as a list of AutTriples,
     in deterministic (rho, A, B) lexicographic order."""
-    gf = code.gf
-    m, n = code.m, code.n
+    gf, n = code.gf, code.n
     if n * n > 36:
         raise EnumerationGuardError(f"n^2 = {n * n} exceeds the 36 guard")
-    size = gl_order(gf.q, m)
-    if size > gl_guard:
-        raise EnumerationGuardError(
-            f"|GL({m},{gf.q})| = {size} exceeds guard {gl_guard}")
     parity = code.parity_rows()
     if not code.basis or not parity:
         raise EnumerationGuardError(
@@ -238,13 +233,13 @@ def aut_bruteforce(code: RankCode, gl_guard: int = GL_GUARD_AUT):
     f = _linalg.fq_arith(gf)
     out = []
     for rho in range(gf.e):
-        for a_mat, null in _b_nullspaces(code, parity, rho, f):
+        for a_mat, null in _b_nullspaces(code, parity, rho, f, gl_guard):
             for b_mat in _invertible_span(f, null, n):
                 out.append(AutTriple(a_mat, b_mat, rho))
     return out
 
 
-def _b_nullspaces(code, parity, rho, f):
+def _b_nullspaces(code, parity, rho, f, gl_guard):
     """(A, index basis of {B : A X^rho B in the code}) for every A in
     GL(m, q) with a nonzero solution space, in ``enumerate_gl`` order.
     The systems of a chunk of A are built and solved as one stack: the
@@ -254,7 +249,7 @@ def _b_nullspaces(code, parity, rho, f):
     xs = f.index(xr)
     hr = f.index(parity).reshape(len(parity), code.m, code.n)
     per_a = len(code.basis) * len(parity) * code.n ** 2
-    for chunk in _linalg.stack_chunks(enumerate_gl(gf, code.m, guard=1 << 30), per_a):
+    for chunk in _linalg.stack_chunks(enumerate_gl(gf, code.m, gl_guard), per_a):
         systems = right_constraints(f, f.matmul(f.index(chunk)[:, None], xs), hr)
         yield from ((a_mat, null) for a_mat, null in zip(chunk, _linalg.modp_nullspace(systems, f)) if null)
 

@@ -88,14 +88,20 @@ def _as_int(value, what):
         raise ParamError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _as_ints(values, what):
-    return [_as_int(v, what) for v in values]
+def _digits(values, p, what):
+    """A vector of F_p digits as ints; a digit outside 0..p-1 is a
+    ParamError, never reduced mod p."""
+    digits = [_as_int(v, what) for v in values]
+    for d in digits:
+        if not 0 <= d < p:
+            raise ParamError(f"{what} {d} is outside 0..{p - 1}")
+    return digits
 
 
 def _element(gf, digits, what):
     """The element with F_p digit vector ``digits`` (constant first); a
     vector longer than the field degree is a ParamError."""
-    digits = _as_ints(digits, what)
+    digits = _digits(digits, gf.p, what)
     if len(digits) > gf.degree:
         raise ParamError(f"{what} vector has {len(digits)} entries, more than "
                          f"the field degree {gf.degree}")
@@ -103,22 +109,14 @@ def _element(gf, digits, what):
 
 
 def _merge_flags(config, args):
-    field = dict(config.get("field", {}))
-    params = dict(config.get("params", {}))
-    for name in ("p", "e", "n"):
-        v = getattr(args, name, None)
-        if v is not None:
-            field[name] = v
+    """Flags win over the config file (``sweep`` has only --output and
+    --unsafe-limits)."""
+    for section, names in (("field", ("p", "e", "n")), ("params", ("m", "k", "s", "h", "eta"))):
+        config[section] = dict(config.get(section, {}))
+        config[section].update((name, getattr(args, name)) for name in names
+                               if getattr(args, name, None) is not None)
     if getattr(args, "modulus", None):
-        field["modulus"] = args.modulus.split(",")
-    for name in ("m", "k", "s", "h"):
-        v = getattr(args, name, None)
-        if v is not None:
-            params[name] = v
-    if getattr(args, "eta", None) is not None:
-        params["eta"] = args.eta
-    config["field"] = field
-    config["params"] = params
+        config["field"]["modulus"] = args.modulus.split(",")
     if getattr(args, "subspace", None) is not None:
         config["subspace"] = args.subspace
     if getattr(args, "output", None) is not None:
@@ -130,6 +128,10 @@ def _merge_flags(config, args):
 
 def _guards(config):
     out = dict(DEFAULT_GUARDS)
+    for key in config.get("guards", {}):
+        if key not in out and key != "unsafe":
+            raise ParamError(f"unknown guard {key!r}; the guards are "
+                             f"{', '.join(DEFAULT_GUARDS)} and unsafe")
     out.update(config.get("guards", {}))
     for key in DEFAULT_GUARDS:
         out[key] = _as_int(out[key], f"guards.{key}")
@@ -150,7 +152,7 @@ def resolve_field(config, guards):
     p, e, n = (_as_int(fcfg[key], f"field.{key}") for key in ("p", "e", "n"))
     modulus = fcfg.get("modulus")
     if modulus is not None:
-        modulus = _as_ints(modulus, "field.modulus")
+        modulus = _digits(modulus, p, "field.modulus")
     return field_create(p, e, n, modulus, max_order=guards["max_field"])
 
 
@@ -246,17 +248,23 @@ def _emit(config, payload):
 # verbs
 # ----------------------------------------------------------------------------
 
-def cmd_construct(config) -> int:
+def _instance(config):
+    """What construct, nuclei and aut share: the guards, the resolved
+    instance, its code, and the JSON header describing the instance."""
     guards = _guards(config)
     gf, params, S = resolve_instance(config, guards)
-    code = project_code(build_gtg(params), S)
-    payload = {
+    header = {
         "field": gf.serialize(),
         "params": {"m": params.m, "k": params.k, "s": params.s, "h": params.h,
                    "eta": list(gf.coords(params.eta))},
         "subspace": [list(gf.coords(a)) for a in S.alphas],
-        "code": code.serialize(),
     }
+    return guards, gf, params, S, project_code(build_gtg(params), S), header
+
+
+def cmd_construct(config) -> int:
+    guards, gf, params, S, code, payload = _instance(config)
+    payload["code"] = code.serialize()
     if "mrd" in config.get("tasks", []):
         verdict, cert = is_mrd(code, guards["max_codewords"])
         payload["mrd"] = dict(cert, is_mrd=verdict, cardinality=str(cert["cardinality"]),
@@ -266,9 +274,7 @@ def cmd_construct(config) -> int:
 
 
 def cmd_nuclei(config) -> int:
-    guards = _guards(config)
-    gf, params, S = resolve_instance(config, guards)
-    code = project_code(build_gtg(params), S)
+    _, gf, params, S, code, payload = _instance(config)
     middle = nuclei.middle_report(params, S, code)
     right = nuclei.right_report(params, S, code)
     # internal consistency: both nuclei must contain the F_q scalars, that
@@ -279,31 +285,18 @@ def cmd_nuclei(config) -> int:
             return 4
     mid_field = nuclei.nucleus_field_structure(middle, gf)
     right_field = nuclei.nucleus_field_structure(right, gf)
-    payload = {
-        "field": gf.serialize(),
-        "params": {"m": params.m, "k": params.k, "s": params.s, "h": params.h,
-                   "eta": list(gf.coords(params.eta))},
-        "subspace": [list(gf.coords(a)) for a in S.alphas],
-        "middle": middle.to_json(gf),
-        "right": right.to_json(gf),
-        "middle_field_structure": {"is_field": mid_field[0], "order": mid_field[1]},
-        "right_field_structure": {"is_field": right_field[0], "order": right_field[1]},
-    }
+    payload.update(middle=middle.to_json(gf), right=right.to_json(gf),
+                   middle_field_structure={"is_field": mid_field[0], "order": mid_field[1]},
+                   right_field_structure={"is_field": right_field[0], "order": right_field[1]})
     _emit(config, payload)
     return 0
 
 
 def cmd_aut(config) -> int:
-    guards = _guards(config)
-    gf, params, S = resolve_instance(config, guards)
-    code = project_code(build_gtg(params), S)
+    guards, gf, params, S, code, payload = _instance(config)
     report = autgroup.aut_report(code, params, S, gl_guard=guards["max_gl"])
     ts = report.get("theta")
-    payload = {
-        "field": gf.serialize(),
-        "params": {"m": params.m, "k": params.k, "s": params.s, "h": params.h,
-                   "eta": list(gf.coords(params.eta))},
-        "subspace": [list(gf.coords(a)) for a in S.alphas],
+    payload.update({
         "summary": {
             "order": report["order"],
             "monomial_fraction": report["monomial_fraction"],
@@ -322,7 +315,7 @@ def cmd_aut(config) -> int:
              "m_side_scalar": (None if v.get("m_side_scalar") is None
                                else list(gf.coords(v["m_side_scalar"])))}
             for v in report["verdicts"]],
-    }
+    })
     _emit(config, payload)
     return 0
 
@@ -609,28 +602,15 @@ def main(argv=None) -> int:
         return run_selfcheck()
 
     try:
-        config = _load_config(args.config) if getattr(args, "config", None) else {}
-        if args.verb == "sweep":
-            if getattr(args, "output", None) is not None:
-                config.setdefault("output", {})["path"] = args.output
-            if getattr(args, "unsafe_limits", False):
-                config.setdefault("guards", {})["unsafe"] = True
-            return cmd_sweep(config)
-        config = _merge_flags(config, args)
-        if args.verb == "construct":
-            return cmd_construct(config)
-        if args.verb == "nuclei":
-            return cmd_nuclei(config)
-        if args.verb == "aut":
-            return cmd_aut(config)
+        config = _merge_flags(_load_config(args.config) if args.config else {}, args)
+        verbs = {"construct": cmd_construct, "nuclei": cmd_nuclei, "aut": cmd_aut, "sweep": cmd_sweep}
+        return verbs[args.verb](config)
     except (EnumerationGuardError, FieldTooLargeError) as exc:
         sys.stderr.write(f"guard: {exc}\n")
         return 3
     except RankMetricError as exc:
         sys.stderr.write(f"invalid configuration: {type(exc).__name__}: {exc}\n")
         return 2
-    parser.error(f"unknown verb {args.verb}")
-    return 2
 
 
 if __name__ == "__main__":

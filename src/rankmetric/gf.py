@@ -105,17 +105,6 @@ def _pmod(a, f, p):
     return _ptrim(a)
 
 
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    _ptrim(a)
-    _ptrim(b)
-    while b:
-        lead_inv = pow(b[-1], -1, p)
-        bb = [(x * lead_inv) % p for x in b]
-        a, b = b, _pmod(a, bb, p)
-    return a
-
-
 def _ppowmod(a, t, f, p):
     """a^t mod f by square and multiply."""
     result = [1]
@@ -137,14 +126,10 @@ def poly_is_irreducible(f, p) -> bool:
     if d == 1:
         return True
     x = [0, 1]
-    top = _ppowmod(x, p ** d, f, p)
-    if _ptrim([(a - b) % p for a, b in itertools.zip_longest(top, x, fillvalue=0)]):
+    if _psub(_ppowmod(x, p ** d, f, p), x, p):
         return False
     for r in factorize(d):
-        h = _ppowmod(x, p ** (d // r), f, p)
-        diff = _ptrim([(a - b) % p for a, b in itertools.zip_longest(h, x, fillvalue=0)])
-        g = _pgcd(diff, f, p)
-        if len(g) - 1 != 0:
+        if len(_pext_gcd(_psub(_ppowmod(x, p ** (d // r), f, p), x, p), f, p)[0]) != 1:
             return False
     return True
 
@@ -269,14 +254,10 @@ class FieldSpec:
             return a ^ b
         if self._digits_cache is not None:
             da, db = self._digits_cache[a], self._digits_cache[b]
-            p = self.p
-            v = 0
-            for x, y in zip(reversed(da), reversed(db)):
-                v = v * p + (x + y) % p
-            return v
+        else:
+            da, db = self._int_digits(a), self._int_digits(b)
         p = self.p
         v = 0
-        da, db = self._int_digits(a), self._int_digits(b)
         for x, y in zip(reversed(da), reversed(db)):
             v = v * p + (x + y) % p
         return v
@@ -335,9 +316,6 @@ class FieldSpec:
         out = out + [0] * (self.degree - len(out))
         return self.from_coords(out)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, t: int) -> int:
         if a == 0:
             if t == 0:
@@ -385,10 +363,7 @@ class FieldSpec:
 
     def frobenius(self, a: int, j: int) -> int:
         """a^(q^j); j is reduced mod n, negative j allowed."""
-        j %= self.n
-        if j == 0 or a == 0:
-            return a
-        return self.pow(a, pow(self.q, j, self.order - 1) if self.order > 2 else 1)
+        return self.frobenius_p(a, self.e * j)
 
     def frobenius_p(self, a: int, j: int) -> int:
         """a^(p^j), the j-th power of the absolute Frobenius."""

@@ -94,24 +94,12 @@ class LinearizedPoly:
                 out[k] = gf.add(out[k], gf.mul(fi, gf.frobenius(gj, i)))
         return LinearizedPoly(gf, out)
 
-    def frob_shift(self, t):
-        """The polynomial of x -> f(x)^(q^t), reduced mod X^(q^n) - X."""
-        gf, n = self.gf, self.gf.n
-        out = [0] * n
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[(i + t) % n] = gf.frobenius(c, t)
-        return LinearizedPoly(gf, out)
-
     def support(self):
         return frozenset(i for i, c in enumerate(self.coeffs) if c)
 
     def serialize(self):
         """List of F_p coordinate vectors, index = q-exponent."""
         return [list(self.gf.coords(c)) for c in self.coeffs]
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
 
     def __eq__(self, other):
         return (isinstance(other, LinearizedPoly)

@@ -251,20 +251,11 @@ def predict_right_nucleus(params: CodeParams, S: SubspaceSpec):
     ell = smallest_containing_subfield(S)
     r = gf.n // ell
     polys = []
-    order = 1
     coeff_spaces = []
     for i in range(r):
-        if params.eta == 0:
-            coeff_basis = list(gf.power_basis())
-        else:
-            target = gf.frobenius(params.eta, i * ell)
-            sols = [c for c in range(gf.order)
-                    if gf.mul(params.eta, gf.frobenius(c, params.h)) == gf.mul(target, c)]
-            coeff_basis = _fq_basis_of(gf, sols)
+        coeff_basis = right_coefficient_space(gf, params.eta, params.h, i * ell)
         coeff_spaces.append(len(coeff_basis))
-        order *= gf.q ** len(coeff_basis)
-        for c in coeff_basis:
-            polys.append(LinearizedPoly.monomial(gf, c, (i * ell) % gf.n))
+        polys.extend(LinearizedPoly.monomial(gf, c, i * ell) for c in coeff_basis)
     mats = tuple(poly_to_matrix(phi) for phi in polys)
     if params.eta == 0:
         desc = f"{{sum c_i X^(q^(i*{ell})) : c_i in F_{{q^{gf.n}}}}}"
@@ -274,7 +265,7 @@ def predict_right_nucleus(params: CodeParams, S: SubspaceSpec):
     return {
         "ell_right": ell,
         "r": r,
-        "order": order,
+        "order": gf.q ** len(polys),
         "coeff_dims": coeff_spaces,
         "polys": tuple(polys),
         "basis": mats,
@@ -282,10 +273,18 @@ def predict_right_nucleus(params: CodeParams, S: SubspaceSpec):
     }
 
 
-def _fq_basis_of(gf, elements):
-    """Deterministic F_q-basis of an F_q-subspace given by its elements."""
-    rref, pivots = _linalg.fq_rref([gf.vec_repr(x) for x in sorted(elements) if x != 0], gf)
-    return [gf.from_vec(rref[i]) for i in range(len(pivots))]
+def right_coefficient_space(gf, eta, h, shift):
+    """RREF F_q-basis (in power-basis coordinates) of
+    {c : eta c^(q^h) = eta^(q^shift) c}, the kernel of the linearized map
+    c -> eta c^(q^h) - eta^(q^shift) c: one F_q nullspace solve of its
+    matrix (all of F_{q^n}, the power basis, for eta = 0)."""
+    phi = (LinearizedPoly.monomial(gf, eta, h)
+           - LinearizedPoly.monomial(gf, gf.frobenius(eta, shift), 0))
+    f = _linalg.fq_arith(gf)
+    # row i of Y holds the coordinates of phi(xi^i): c is in the kernel iff Y^T v(c) = 0
+    kernel = _linalg.modp_nullspace(f.index(poly_to_matrix(phi)).T, f)
+    rref, pivots = _linalg.fq_rref([f.packed(v).tolist() for v in kernel], gf)
+    return [gf.from_vec(row) for row in rref[:len(pivots)]]
 
 
 # ----------------------------------------------------------------------------
@@ -383,17 +382,7 @@ def middle_report(params: CodeParams, S: SubspaceSpec, code: RankCode = None) ->
     report = middle_nucleus_bruteforce(code)
     report.hypothesis_flags = hypothesis_check(params, S)
     report.ell = largest_linearity_field(S)
-    try:
-        pred = predict_middle_nucleus(params, S)
-    except HypothesisNotMetError:
-        return report
-    report.predicted_order = pred["order"]
-    report.predicted_basis = pred["basis"]
-    report.predicted_description = pred["description"]
-    report.t = pred["t"]
-    report.agree = (report.bruteforce_order == pred["order"]
-                    and spans_equal(params.gf, report.bruteforce_basis, pred["basis"]))
-    return report
+    return _compare(report, predict_middle_nucleus, params, S)
 
 
 def right_report(params: CodeParams, S: SubspaceSpec, code: RankCode = None) -> NucleusReport:
@@ -409,15 +398,22 @@ def right_report(params: CodeParams, S: SubspaceSpec, code: RankCode = None) -> 
     report.hypothesis_flags = hypothesis_check(params, S_eff)
     report.ell = smallest_containing_subfield(S_eff)
     report.r = gf.n // report.ell
+    return _compare(report, predict_right_nucleus, params, S_eff)
+
+
+def _compare(report: NucleusReport, predict, params: CodeParams, S: SubspaceSpec) -> NucleusReport:
+    """Attach the closed-form prediction, when one is issued, and its
+    elementwise agreement with the brute-force nucleus."""
     try:
-        pred = predict_right_nucleus(params, S_eff)
+        pred = predict(params, S)
     except (HypothesisNotMetError, OneNotInSError):
         return report
     report.predicted_order = pred["order"]
     report.predicted_basis = pred["basis"]
     report.predicted_description = pred["description"]
+    report.t = pred.get("t")
     report.agree = (report.bruteforce_order == pred["order"]
-                    and spans_equal(gf, report.bruteforce_basis, pred["basis"]))
+                    and spans_equal(params.gf, report.bruteforce_basis, pred["basis"]))
     return report
 
 

@@ -54,7 +54,7 @@ from .errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from .linpoly import LinearizedPoly, SubspaceSpec
+from .linpoly import LinearizedPoly, SubspaceSpec, _matvec
 
 ENUM_GUARD = 1 << 22
 
@@ -76,19 +76,8 @@ def mat_scale(gf, c, a):
     return tuple(tuple(gf.mul(c, x) for x in row) for row in a)
 
 def mat_mul(gf, a, b):
-    bt = list(zip(*b))
-    out = []
-    for row in a:
-        out.append(tuple(
-            _dot(gf, row, col) for col in bt))
-    return tuple(out)
-
-def _dot(gf, u, v):
-    acc = 0
-    for x, y in zip(u, v):
-        if x and y:
-            acc = gf.add(acc, gf.mul(x, y))
-    return acc
+    bt = tuple(zip(*b))
+    return tuple(_matvec(bt, row, gf) for row in a)
 
 def mat_transpose(a):
     return tuple(zip(*a))
@@ -290,9 +279,6 @@ def project_code(generators, S: SubspaceSpec, provenance=None) -> RankCode:
         polys = list(generators)
     gf = S.gf
     mats = [tuple(gf.vec_repr(f(a)) for a in S.alphas) for f in polys]
-    if _linalg.fq_rank([list(mat_vec(mm)) for mm in mats], gf) != len(mats):
-        raise DimensionCollapseError(
-            "projected generators are F_q-dependent (k >= m misuse?)")
     return RankCode(gf, S.m, mats, provenance)
 
 

@@ -451,3 +451,59 @@ def test_output_path_that_is_a_number_or_boolean_exits_2(tmp_path, path):
     assert proc.returncode == 2
     assert proc.stdout == b"" and leaked == b""
     assert b"output.path must be a string" in proc.stderr
+
+
+@pytest.mark.parametrize("p, n, flag, value, what", [
+    (3, 4, "--eta", "digits:3", "eta digit 3 is outside 0..2"),
+    (3, 4, "--eta", "digits:0,-1", "eta digit -1 is outside 0..2"),
+    (3, 4, "--subspace", "elems:1,0,0,0;0,1,0,0;0,0,3,0", "subspace digit 3 is outside 0..2"),
+    (2, 3, "--modulus", "1,3,0,1", "field.modulus 3 is outside 0..1"),
+], ids=["eta", "eta-negative", "subspace", "modulus"])
+def test_out_of_range_digit_exits_2(capsys, p, n, flag, value, what):
+    # a digit is never reduced mod p: digits:3 over F_3 would be eta = 0,
+    # and the modulus 1,3,0,1 over F_2 the irreducible 1,1,0,1
+    args = ["construct", "--p", str(p), "--e", "1", "--n", str(n), "--m", "3", "--k", "1",
+            "--s", "1", "--h", "1", "--eta", "0", "--subspace", "generic:0", "--output", "-"]
+    if flag == "--modulus":
+        args += [flag, value]
+    else:
+        args[args.index(flag) + 1] = value
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"ParamError: {what}" in captured.err
+
+
+def test_sweep_out_of_range_eta_digit_lands_in_error_column(tmp_path):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"grid": {
+        "p": [3], "e": [1], "n": [4], "m": [3], "k": [1], "s": [1],
+        "h": [1], "eta": ["digits:3", "0"], "subspace": ["generic:0"],
+    }}))
+    out = tmp_path / "err.csv"
+    assert run(["sweep", "--config", str(cfg), "--output", str(out)]) == 0
+    import csv
+    with open(out) as fh:
+        by_eta = {r["eta"]: r for r in csv.DictReader(fh)}
+    assert by_eta["0"]["error"] == "" and by_eta["0"]["mrd"] == "True"
+    assert by_eta["digits:3"]["error"] == "ParamError: eta digit 3 is outside 0..2"
+    assert by_eta["digits:3"]["mrd"] == ""
+
+
+def test_misspelled_guard_exits_2(tmp_path, capsys):
+    # a misspelled key would leave the default max_codewords = 2^22 in force
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(SMALL_CONSTRUCT, guards={"max_codeword": 10})))
+    assert run(["construct", "--config", str(cfg), "--output", "-"]) == 2
+    assert "unknown guard 'max_codeword'" in capsys.readouterr().err
+
+
+def test_sweep_misspelled_guard_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"grid": {
+        "p": [2], "e": [1], "n": [4], "m": [3], "k": [1], "s": [1], "h": [0],
+        "eta": ["0"], "subspace": ["generic:0"],
+    }, "guards": {"maxgl": 10}}))
+    rc = run(["sweep", "--config", str(cfg), "--output", "-"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "unknown guard 'maxgl'" in captured.err

@@ -1,7 +1,10 @@
 import random
+import time
 
 import pytest
 
+from rankmetric._linalg import fq_rref
+from rankmetric.cli import _guards, resolve_instance
 from rankmetric.errors import HypothesisNotMetError, OneNotInSError
 from rankmetric.gf import field_create
 from rankmetric.linpoly import subspace_poly
@@ -14,6 +17,7 @@ from rankmetric.nuclei import (
     nucleus_field_structure,
     predict_middle_nucleus,
     predict_right_nucleus,
+    right_coefficient_space,
     right_element_sends_monomials_to_monomials,
     right_nucleus_bruteforce,
     right_report,
@@ -232,6 +236,42 @@ def test_right_closed_form_misses_the_degenerate_twist(f81):
     rep = right_report(params, S)
     assert rep.bruteforce_order == 81
     assert rep.agree is False
+
+
+def _coefficient_space_by_enumeration(gf, eta, h, shift):
+    """The slow reference: test every element of F_(q^n), then take the
+    RREF F_q-basis of the solutions."""
+    target = gf.frobenius(eta, shift)
+    sols = [c for c in range(1, gf.order) if gf.mul(eta, gf.frobenius(c, h)) == gf.mul(target, c)]
+    rref, pivots = fq_rref([gf.vec_repr(c) for c in sols], gf)
+    return [gf.from_vec(row) for row in rref[:len(pivots)]]
+
+
+@pytest.mark.parametrize("p, e, n", [(2, 1, 4), (2, 1, 6), (3, 1, 4), (3, 1, 5), (5, 1, 3),
+                                     (7, 1, 3), (2, 2, 3), (3, 2, 2)])
+def test_coefficient_space_solve_matches_enumeration(p, e, n):
+    gf = field_create(p, e, n)
+    xi = gf.generator
+    etas = sorted({0, 1} | {gf.pow(xi, t) for t in (1, 2, 3, 5, 7, 11, 13, 17)})
+    for eta in etas:
+        for h in range(n):
+            for shift in range(n):
+                want = _coefficient_space_by_enumeration(gf, eta, h, shift)
+                assert right_coefficient_space(gf, eta, h, shift) == want, (eta, h, shift)
+
+
+def test_coefficient_space_is_a_solve_on_an_untabled_field():
+    # F_(3^12) has 531,441 elements, above the exp/log table limit, where a
+    # scan of the field takes minutes
+    from rankmetric.cli import _guards, resolve_instance
+    config = {"field": {"p": 3, "e": 1, "n": 12},
+              "params": {"m": 3, "k": 1, "s": 1, "h": 1, "eta": "nonsquare-min"},
+              "subspace": "generic:0"}
+    gf, params, S = resolve_instance(config, _guards(config))
+    start = time.perf_counter()
+    pred = predict_right_nucleus(params, S)
+    assert time.perf_counter() - start < 1.0
+    assert pred["coeff_dims"] == [1] and pred["order"] == 3  # F_q^gcd(h, n)
 
 
 def test_predict_right_requires_one_in_s(f81):
