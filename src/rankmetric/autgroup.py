@@ -8,7 +8,8 @@ Triples compose by (A1, B1, r1) o (A2, B2, r2) =
 
 The exhaustive search fixes the m-side: for each A in GL(m, q) and each
 rho, the set {B : A X^rho B in C for all X} is the nullspace of a
-linear system over F_q, so the whole group is found with
+linear system over F_q (``RankCode.right_stabilizers``, whose A = I case
+is the right nucleus), so the whole group is found with
 |GL(m, q)| * |Aut(F_q)| solves instead of a product-group sweep.  For a
 linear bijective map, mapping a basis into the code already forces set
 equality, so invertible nullspace members are automorphisms outright.
@@ -38,7 +39,6 @@ from .rankcode import (
     mat_identity,
     mat_mul,
     project_code,
-    right_constraints,
 )
 
 GL_GUARD_AUT = 1 << 18
@@ -70,24 +70,18 @@ def aut_identity(gf, m, n) -> AutTriple:
 def aut_compose(gf, t1: AutTriple, t2: AutTriple) -> AutTriple:
     """Apply t2 first, then t1."""
     rho = (t1.rho + t2.rho) % gf.e
-    a2 = mat_frobenius_p(gf, t2.A, t1.rho) if t1.rho else t2.A
-    b2 = mat_frobenius_p(gf, t2.B, t1.rho) if t1.rho else t2.B
+    a2, b2 = mat_frobenius_p(gf, t2.A, t1.rho), mat_frobenius_p(gf, t2.B, t1.rho)
     return AutTriple(mat_mul(gf, t1.A, a2), mat_mul(gf, b2, t1.B), rho)
 
 
 def aut_inverse(gf, t: AutTriple) -> AutTriple:
     rho = (-t.rho) % gf.e
-    a_inv = tuple(tuple(r) for r in _linalg.fq_inv([list(r) for r in t.A], gf))
-    b_inv = tuple(tuple(r) for r in _linalg.fq_inv([list(r) for r in t.B], gf))
-    if rho:
-        a_inv = mat_frobenius_p(gf, a_inv, rho)
-        b_inv = mat_frobenius_p(gf, b_inv, rho)
+    a_inv, b_inv = (mat_frobenius_p(gf, tuple(_linalg.fq_inv(mat, gf)), rho) for mat in (t.A, t.B))
     return AutTriple(a_inv, b_inv, rho)
 
 
 def triple_acts(gf, t: AutTriple, X):
-    Xg = mat_frobenius_p(gf, X, t.rho) if t.rho else X
-    return mat_mul(gf, mat_mul(gf, t.A, Xg), t.B)
+    return mat_mul(gf, mat_mul(gf, t.A, mat_frobenius_p(gf, X, t.rho)), t.B)
 
 
 # ----------------------------------------------------------------------------
@@ -102,8 +96,10 @@ def gl_order(q: int, n: int) -> int:
 
 
 def enumerate_gl(gf, n: int, guard: int = GL_GUARD_NORMALIZER):
-    """All of GL(n, q) in lexicographic row-major entry order.  The list
-    is cached on the field spec when it has at most 2^18 elements."""
+    """All of GL(n, q) in lexicographic row-major entry order: the
+    invertible members of the span of the n^2 unit matrices, the last
+    entry's unit first so that it varies fastest.  The list is cached on
+    the field spec when it has at most 2^18 elements."""
     size = gl_order(gf.q, n)
     if size > guard:
         raise EnumerationGuardError(f"|GL({n},{gf.q})| = {size} exceeds guard {guard}")
@@ -111,20 +107,23 @@ def enumerate_gl(gf, n: int, guard: int = GL_GUARD_NORMALIZER):
     if key in gf._misc_cache:
         yield from gf._misc_cache[key]
         return
-    f, q = _linalg.fq_arith(gf), gf.q
-    # candidate t has entry k = digit k of t, base q, most significant
-    # first: indices into the sorted F_q, so t runs in lexicographic order
-    powers = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
     collect = [] if size <= GL_GUARD_AUT else None
-    for chunk in _linalg.stack_chunks(range(q ** (n * n)), n * n):
-        mats = (np.array(chunk, dtype=np.int64)[:, None] // powers % q).reshape(-1, n, n)
-        for mat in f.packed(mats[_linalg.modp_rank(mats, f) == n]).tolist():
-            mat = tuple(map(tuple, mat))
-            if collect is not None:
-                collect.append(mat)
-            yield mat
+    for mat in _invertible_span(gf, np.eye(n * n, dtype=np.int64)[::-1], n):
+        if collect is not None:
+            collect.append(mat)
+        yield mat
     if collect is not None:
         gf._misc_cache[key] = tuple(collect)
+
+
+def _invertible_span(gf, basis, n):
+    """The invertible n x n matrices in the F_q-span of the vectorized
+    index basis, packed, lazily and in ``modp_span`` order; ranked as
+    stacks."""
+    f = _linalg.fq_arith(gf)
+    for words in _linalg.modp_span(basis, f):
+        mats = words.reshape(-1, n, n)
+        yield from (tuple(map(tuple, b)) for b in f.packed(mats[_linalg.modp_rank(mats, f) == n]).tolist())
 
 
 # ----------------------------------------------------------------------------
@@ -225,43 +224,13 @@ def aut_bruteforce(code: RankCode, gl_guard: int = GL_GUARD_AUT):
     gf, n = code.gf, code.n
     if n * n > 36:
         raise EnumerationGuardError(f"n^2 = {n * n} exceeds the 36 guard")
-    parity = code.parity_rows()
-    if not code.basis or not parity:
+    if not code.basis or not code.parity_rows():
         raise EnumerationGuardError(
             f"code is {'the zero code' if not code.basis else 'the full matrix space'}; "
             "its automorphism set is all of GL(m,q) x GL(n,q) x Aut(F_q) and is not enumerated")
-    f = _linalg.fq_arith(gf)
-    out = []
-    for rho in range(gf.e):
-        for a_mat, null in _b_nullspaces(code, parity, rho, f, gl_guard):
-            for b_mat in _invertible_span(f, null, n):
-                out.append(AutTriple(a_mat, b_mat, rho))
-    return out
-
-
-def _b_nullspaces(code, parity, rho, f, gl_guard):
-    """(A, index basis of {B : A X^rho B in the code}) for every A in
-    GL(m, q) with a nonzero solution space, in ``enumerate_gl`` order.
-    The systems of a chunk of A are built and solved as one stack: the
-    ``right_constraints`` rows of the matrices A X^rho."""
-    gf = code.gf
-    xr = [mat_frobenius_p(gf, x, rho) if rho else x for x in code.basis]
-    xs = f.index(xr)
-    hr = f.index(parity).reshape(len(parity), code.m, code.n)
-    per_a = len(code.basis) * len(parity) * code.n ** 2
-    for chunk in _linalg.stack_chunks(enumerate_gl(gf, code.m, gl_guard), per_a):
-        systems = right_constraints(f, f.matmul(f.index(chunk)[:, None], xs), hr)
-        yield from ((a_mat, null) for a_mat, null in zip(chunk, _linalg.modp_nullspace(systems, f)) if null)
-
-
-def _invertible_span(f, basis, n):
-    """The invertible n x n matrices in the F_q-span of the given
-    vectorized index basis, packed and sorted; ranked as stacks."""
-    out = []
-    for words in _linalg.modp_span(basis, f):
-        mats = words.reshape(-1, n, n)
-        out.extend(tuple(map(tuple, b)) for b in f.packed(mats[_linalg.modp_rank(mats, f) == n]).tolist())
-    return sorted(out)
+    return [AutTriple(a_mat, b_mat, rho) for rho in range(gf.e)
+            for a_mat, null in code.right_stabilizers(enumerate_gl(gf, code.m, gl_guard), rho)
+            for b_mat in sorted(_invertible_span(gf, null, n))]
 
 
 # ----------------------------------------------------------------------------
@@ -272,32 +241,34 @@ def generate_known_automorphisms(params: CodeParams, S: SubspaceSpec, code: Rank
     """Monomial-shaped candidates (a, w) x (b, u) x rho: the m-side map
     c -> a c^(q^w) must stabilize U_S, the n-side map is x -> b x^(q^u);
     exactly the candidates passing the membership test are returned, so
-    every listed triple is a verified automorphism."""
-    gf = params.gf
+    every listed triple is a verified automorphism.  Each m-side A gets
+    its B-space from ``RankCode.right_stabilizers``; the nonzero
+    monomials that pass its dual test are kept.  The matrix of b X^(q^u)
+    is that of X^(q^u) times that of x -> b x, the ``modp_span`` of the
+    multiplications by the power basis: 2n ``poly_to_matrix`` calls."""
+    gf, n = params.gf, params.gf.n
     if code is None:
         code = project_code(build_gtg(params), S)
     mside = []
-    for w in range(gf.n):
+    for w in range(n):
         frob_alphas = [gf.frobenius(al, w) for al in S.alphas]
         for a in range(1, gf.order):
             rows = tuple(S.alpha_coords(gf.mul(a, fa)) for fa in frob_alphas)
             if None not in rows:
-                mside.append((a, w, rows))
-    nside = [poly_to_matrix(LinearizedPoly.monomial(gf, b, u))
-             for u in range(gf.n) for b in range(1, gf.order)]
-    # A X^rho B is in the code iff it pairs to zero with the dual: one stack per chunk of B
-    f, m, n, dim = _linalg.fq_arith(gf), code.m, code.n, code.dim
-    bs = f.index(nside)
-    h = f.index(code.parity_rows()).reshape(-1, m * n).T
+                mside.append(rows)
+    f = _linalg.fq_arith(gf)
+    duals = [(rho, a_mat, _linalg.modp_dual(null, f).T)
+             for rho in range(gf.e) for a_mat, null in code.right_stabilizers(mside, rho)]
+    frobs = f.index([poly_to_matrix(LinearizedPoly.monomial(gf, gf.one, u)) for u in range(n)])
+    mults = f.index([poly_to_matrix(LinearizedPoly.monomial(gf, b, 0)) for b in gf.power_basis()])
     out = []
-    for rho in range(gf.e):
-        xr = f.index(np.reshape([mat_frobenius_p(gf, x, rho) if rho else x for x in code.basis], (dim, m, n)))
-        for a, w, a_mat in mside:
-            ax = f.matmul(f.index(a_mat), xr)
-            for chunk in _linalg.stack_chunks(range(len(nside)), dim * max(m * n, h.shape[1])):
-                images = f.matmul(ax, bs[chunk][:, None]).reshape(len(chunk), dim, m * n)
-                outside = f.matmul(images, h).any(axis=(1, 2))
-                out.extend(AutTriple(a_mat, nside[j], rho) for j, bad in zip(chunk, outside) if not bad)
+    for frob in frobs:
+        for words in _linalg.modp_span(mults.reshape(n, n * n), f):
+            bs = f.matmul(frob, words.reshape(-1, n, n)).reshape(-1, n * n)
+            for rho, a_mat, h in duals:
+                keep = bs.any(axis=1) & ~f.matmul(bs, h).any(axis=1)
+                out.extend(AutTriple(a_mat, tuple(map(tuple, b_mat)), rho)
+                           for b_mat in f.packed(bs[keep]).reshape(-1, n, n).tolist())
     return sorted(out, key=lambda t: (t.rho, t.A, t.B))
 
 

@@ -50,8 +50,19 @@ DEFAULT_GUARDS = {
     "max_field": MAX_FIELD_ORDER,
 }
 
-# top-level config sections and the JSON type each must have
-_SECTION_TYPES = {"field": dict, "params": dict, "guards": dict, "output": dict, "tasks": list}
+SWEEP_AXES = ("p", "e", "n", "m", "k", "s", "h", "eta", "subspace")
+
+# every top-level config key: its JSON type (None: checked where it is
+# read), and what its keys (or task names) are called and may be
+_SECTIONS = {
+    "field": (dict, "field key", ("p", "e", "n", "modulus")),
+    "params": (dict, "params key", ("m", "k", "s", "h", "eta")),
+    "subspace": (None, None, None),
+    "tasks": (list, "task", ("mrd",)),
+    "guards": (dict, "guard", (*DEFAULT_GUARDS, "unsafe")),
+    "output": (dict, "output key", ("path",)),
+    "grid": (None, "sweep grid axis", SWEEP_AXES),
+}
 
 
 # ----------------------------------------------------------------------------
@@ -68,10 +79,18 @@ def _load_config(path):
         raise ParamError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ParamError(f"config {path} must hold a JSON object")
-    for key, kind in _SECTION_TYPES.items():
-        if not isinstance(config.get(key, kind()), kind):
+    checks = [("config key", config, _SECTIONS)]
+    for key, (kind, what, allowed) in _SECTIONS.items():
+        if kind is not None and not isinstance(config.get(key, kind()), kind):
             raise ParamError(f"config section {key} must be a JSON "
                              f"{'object' if kind is dict else 'array'}, got {config[key]!r}")
+        if allowed is not None and isinstance(config.get(key), kind or dict):
+            checks.append((what, config[key], allowed))
+    # a misspelled key is never silently ignored
+    for what, keys, allowed in checks:
+        for key in keys:
+            if key not in allowed:
+                raise ParamError(f"unknown {what} {key!r} (allowed: {', '.join(allowed)})")
     return config
 
 
@@ -89,8 +108,10 @@ def _as_int(value, what):
 
 
 def _digits(values, p, what):
-    """A vector of F_p digits as ints; a digit outside 0..p-1 is a
-    ParamError, never reduced mod p."""
+    """A vector of F_p digits as ints; a vector that is not an array, or
+    a digit outside 0..p-1, is a ParamError, never reduced mod p."""
+    if not isinstance(values, (list, tuple)):
+        raise ParamError(f"{what} vector must be an array, got {values!r}")
     digits = [_as_int(v, what) for v in values]
     for d in digits:
         if not 0 <= d < p:
@@ -127,12 +148,7 @@ def _merge_flags(config, args):
 
 
 def _guards(config):
-    out = dict(DEFAULT_GUARDS)
-    for key in config.get("guards", {}):
-        if key not in out and key != "unsafe":
-            raise ParamError(f"unknown guard {key!r}; the guards are "
-                             f"{', '.join(DEFAULT_GUARDS)} and unsafe")
-    out.update(config.get("guards", {}))
+    out = {**DEFAULT_GUARDS, **config.get("guards", {})}
     for key in DEFAULT_GUARDS:
         out[key] = _as_int(out[key], f"guards.{key}")
     unsafe = out.get("unsafe", False)
@@ -331,9 +347,8 @@ def cmd_sweep(config) -> int:
     grid = config.get("grid", {})
     if not isinstance(grid, dict):
         raise ParamError("sweep grid must be a JSON object of axis lists")
-    keys = ("p", "e", "n", "m", "k", "s", "h", "eta", "subspace")
-    axes = [grid.get(k, []) for k in keys]
-    for key, axis in zip(keys, axes):
+    axes = [grid.get(k, []) for k in SWEEP_AXES]
+    for key, axis in zip(SWEEP_AXES, axes):
         if not isinstance(axis, list):
             raise ParamError(f"sweep grid axis {key} must be a list, got {axis!r}")
     rows = []

@@ -53,7 +53,6 @@ from .rankcode import (
     mat_identity,
     mat_vec,
     project_code,
-    right_constraints,
     vec_mat,
 )
 
@@ -64,23 +63,11 @@ SPAN_GUARD = 1 << 20
 # brute force
 # ----------------------------------------------------------------------------
 
-def _nucleus_solve(code: RankCode, side: str):
-    """Nullspace of the membership constraints; side 'middle' or 'right'."""
-    gf = code.gf
-    m, n = code.m, code.n
-    unknowns = m * m if side == "middle" else n * n
-    parity = code.parity_rows()
-    if not code.basis or not parity:  # the zero code or the full space
-        return list(mat_identity(gf, unknowns))
+def _report(kind, gf, basis, size):
+    """The nucleus spanned by index vectors read as size x size matrices."""
     f = _linalg.fq_arith(gf)
-    hr = f.index(parity).reshape(len(parity), m, n)
-    bs = f.index(code.basis)
-    if side == "middle":
-        # unknown Z (i,l):  sum_j H[r,i,j] B_t[l,j], the entries of H B_t^T
-        block = f.matmul(hr, np.swapaxes(bs, 1, 2)[:, None])
-    else:
-        block = right_constraints(f, bs, hr)
-    return [tuple(f.packed(v).tolist()) for v in _linalg.modp_nullspace(block.reshape(-1, unknowns), f)]
+    mats = tuple(vec_mat(tuple(f.packed(v).tolist()), size, size) for v in basis)
+    return NucleusReport(kind, mats, gf.q ** len(mats))
 
 
 def _span_guard(gf, dim, cap):
@@ -330,15 +317,21 @@ class NucleusReport:
 
 
 def middle_nucleus_bruteforce(code: RankCode) -> NucleusReport:
-    basis_vecs = _nucleus_solve(code, "middle")
-    mats = tuple(vec_mat(v, code.m, code.m) for v in basis_vecs)
-    return NucleusReport("middle", mats, code.gf.q ** len(mats))
+    """{Z : Z X in the code for every X}: Z pairs to zero with H X^T for
+    every basis X and dual row H (unknown Z (i, l) has the coefficient
+    sum_j H[i, j] X[l, j])."""
+    gf, m, n, dim = code.gf, code.m, code.n, code.dim
+    f = _linalg.fq_arith(gf)
+    hr = f.index(code.parity_rows()).reshape(-1, m, n)
+    bs = f.index(np.reshape(code.basis, (dim, m, n)))
+    block = f.matmul(hr, np.swapaxes(bs, 1, 2)[:, None]).reshape(dim * len(hr), m * m)
+    return _report("middle", gf, _linalg.modp_nullspace(block, f), m)
 
 
 def right_nucleus_bruteforce(code: RankCode) -> NucleusReport:
-    basis_vecs = _nucleus_solve(code, "right")
-    mats = tuple(vec_mat(v, code.n, code.n) for v in basis_vecs)
-    return NucleusReport("right", mats, code.gf.q ** len(mats))
+    """{Y : X Y in the code for every X}: the right stabilizer of A = I."""
+    [(_, basis)] = code.right_stabilizers([mat_identity(code.gf, code.m)])
+    return _report("right", code.gf, basis, code.n)
 
 
 def nucleus_field_structure(report_or_basis, gf, cap=SPAN_GUARD):

@@ -83,20 +83,14 @@ def mat_transpose(a):
     return tuple(zip(*a))
 
 def mat_frobenius_p(gf, a, j):
-    return tuple(tuple(gf.frobenius_p(x, j) for x in row) for row in a)
+    """Entrywise x -> x^(p^j); j = 0 returns ``a`` itself."""
+    return tuple(tuple(gf.frobenius_p(x, j) for x in row) for row in a) if j else a
 
 def mat_rank(gf, a):
     return _linalg.fq_rank(a, gf)
 
 def mat_is_invertible(gf, a):
     return len(a) == len(a[0]) and mat_rank(gf, a) == len(a)
-
-def right_constraints(f, mats, dual):
-    """Rows (..., t * r, n * n) of "X Y pairs to zero with every dual row
-    H" in the entries of Y, for the index stacks ``mats`` (..., t, m, n)
-    and ``dual`` (r, m, n): row (X, H) is X^T H, X-major."""
-    rows = f.matmul(np.swapaxes(mats, -1, -2)[..., None, :, :], dual)
-    return rows.reshape(*mats.shape[:-3], -1, dual.shape[-1] ** 2)
 
 def mat_vec(a):
     """Row-major vectorization."""
@@ -223,6 +217,21 @@ class RankCode:
         f = _linalg.fq_arith(self.gf)
         h = f.index(self.parity_rows()).reshape(-1, self.m * self.n)
         return not f.matmul(h, f.index(mat_vec(mat))[:, None]).any()
+
+    def right_stabilizers(self, lefts, rho=0):
+        """(A, index basis of {B : A X^rho B in the code for every X}) for
+        each m x m matrix A of ``lefts``, in order, skipping every A whose
+        space is zero.  B pairs to zero with (A X^rho)^T H for every basis
+        X and dual row H, one row per (X, H), X-major; the systems of a
+        chunk of A are built and solved as one stack under STACK_BUDGET.
+        A = I, rho = 0 gives the right nucleus."""
+        f, m, n, dim = _linalg.fq_arith(self.gf), self.m, self.n, self.dim
+        xs = f.index(np.reshape([mat_frobenius_p(self.gf, x, rho) for x in self.basis], (dim, m, n)))
+        hr = f.index(self.parity_rows()).reshape(-1, m, n)
+        for chunk in _linalg.stack_chunks(lefts, dim * len(hr) * n * n):
+            axt = np.swapaxes(f.matmul(f.index(chunk)[:, None], xs), -1, -2)
+            systems = f.matmul(axt[:, :, None], hr).reshape(len(chunk), dim * len(hr), n * n)
+            yield from ((a, null) for a, null in zip(chunk, _linalg.modp_nullspace(systems, f)) if null)
 
     def codewords(self, include_zero=True, guard=ENUM_GUARD):
         """Stream all codewords in the ``_linalg.fq_span`` odometer order
@@ -458,11 +467,8 @@ def apply_equivalence(code: RankCode, A, B, C=None, gamma: int = 0) -> RankCode:
     if C is not None and any(x != 0 for x in mat_vec(C)):
         raise ParamError("nonzero C breaks linearity; only C = 0 is supported")
     gamma %= gf.e
-    basis = []
-    for X in code.basis:
-        Xg = mat_frobenius_p(gf, X, gamma) if gamma else X
-        basis.append(mat_mul(gf, mat_mul(gf, A, Xg), B))
-    return RankCode(gf, code.m, basis, provenance=None)
+    return RankCode(gf, code.m, [mat_mul(gf, mat_mul(gf, A, mat_frobenius_p(gf, X, gamma)), B)
+                                 for X in code.basis])
 
 
 def adjoint(code: RankCode) -> RankCode:

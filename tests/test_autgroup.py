@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from rankmetric import _linalg
 from rankmetric.errors import AnsatzMismatchError, EnumerationGuardError
 from rankmetric.gf import field_create
 from rankmetric.linpoly import LinearizedPoly, matrix_to_poly, poly_to_matrix, subspace_poly
@@ -21,7 +24,7 @@ from rankmetric.autgroup import (
     triple_acts,
 )
 from rankmetric.nuclei import right_nucleus_bruteforce, subfield_fq_basis
-from rankmetric.rankcode import CodeParams, RankCode, build_gtg, mat_identity, project_code
+from rankmetric.rankcode import CodeParams, RankCode, build_gtg, mat_frobenius_p, mat_identity, project_code
 
 
 def generic_subspace(gf, m):
@@ -291,3 +294,44 @@ def test_zero_code_aut_is_refused_with_an_honest_message():
     f8 = field_create(2, 1, 3)
     with pytest.raises(EnumerationGuardError, match="the zero code; its automorphism set is all of"):
         aut_bruteforce(RankCode(f8, 2, []))
+
+
+def _known_by_monomials(params, S, code):
+    """Slow reference for ``generate_known_automorphisms``: the matrix of
+    every monomial b X^(q^u) from its own ``poly_to_matrix``, and every
+    image A X^rho B tested against the code's dual."""
+    gf, n, m, dim = params.gf, params.gf.n, code.m, code.dim
+    mside = []
+    for w in range(n):
+        for a in range(1, gf.order):
+            rows = tuple(S.alpha_coords(gf.mul(a, gf.frobenius(al, w))) for al in S.alphas)
+            if None not in rows:
+                mside.append(rows)
+    nside = [poly_to_matrix(LinearizedPoly.monomial(gf, b, u)) for u in range(n) for b in range(1, gf.order)]
+    f = _linalg.fq_arith(gf)
+    bs = f.index(nside)
+    h = f.index(code.parity_rows()).reshape(-1, m * n).T
+    out = []
+    for rho in range(gf.e):
+        xr = f.index([mat_frobenius_p(gf, x, rho) for x in code.basis])
+        for a_mat in mside:
+            images = f.matmul(f.matmul(f.index(a_mat), xr), bs[:, None]).reshape(len(nside), dim, m * n)
+            outside = f.matmul(images, h).any(axis=(1, 2))
+            out.extend(AutTriple(a_mat, b, rho) for b, bad in zip(nside, outside) if not bad)
+    return sorted(out, key=lambda t: (t.rho, t.A, t.B))
+
+
+@pytest.mark.parametrize("p, e, n, m, h, size, budget", [(3, 1, 6, 3, 1, 2912, 0.5), (2, 2, 3, 2, 0, 567, None)],
+                         ids=["F3^6", "F4^3"])
+def test_known_automorphisms_match_the_per_monomial_reference(p, e, n, m, h, size, budget):
+    # S = (1, xi, ..., xi^(m-1)), k = 1, eta = 0; F_{4^3} is the cell of
+    # test_generic_backend_aut_over_f4
+    gf = field_create(p, e, n)
+    params = CodeParams(gf, m, 1, 1, h, 0)
+    S = subspace_poly(gf, [gf.pow(gf.generator, i) for i in range(m)])
+    code = project_code(build_gtg(params), S)
+    start = time.perf_counter()
+    known = generate_known_automorphisms(params, S, code)
+    elapsed = time.perf_counter() - start
+    assert known == _known_by_monomials(params, S, code) and len(known) == size
+    assert budget is None or elapsed < budget, elapsed

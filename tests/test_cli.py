@@ -507,3 +507,66 @@ def test_sweep_misspelled_guard_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert "unknown guard 'maxgl'" in captured.err
+
+
+@pytest.mark.parametrize("extra, what", [
+    ({"subspace": [1, 2, 3]}, "subspace digit vector must be an array, got 1"),
+    ({"field": {"p": 2, "e": 1, "n": 4, "modulus": 5}}, "field.modulus vector must be an array, got 5"),
+    ({"subspace": [[1, 0, 0, 0], 5, [0, 0, 1, 0]]}, "subspace digit vector must be an array, got 5"),
+], ids=["subspace-of-numbers", "modulus-number", "elems-entry-number"])
+def test_digit_vector_that_is_not_an_array_exits_2(tmp_path, capsys, extra, what):
+    # iterating a number used to end in a TypeError traceback (exit 1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(SMALL_CONSTRUCT, **extra)))
+    assert run(["construct", "--config", str(cfg), "--output", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"ParamError: {what}" in captured.err
+
+
+def test_sweep_digit_vector_that_is_not_an_array_lands_in_error_column(tmp_path):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"grid": {
+        "p": [3], "e": [1], "n": [4], "m": [3], "k": [1], "s": [1], "h": [1], "eta": ["0"],
+        "subspace": [[1, 2, 3], "generic:0"],
+    }}))
+    out = tmp_path / "err.csv"
+    assert run(["sweep", "--config", str(cfg), "--output", str(out)]) == 0
+    import csv
+    with open(out) as fh:
+        by_sub = {r["subspace"]: r for r in csv.DictReader(fh)}
+    assert by_sub["generic:0"]["error"] == "" and by_sub["generic:0"]["mrd"] == "True"
+    assert by_sub["[1, 2, 3]"]["error"] == "ParamError: subspace digit vector must be an array, got 1"
+
+
+@pytest.mark.parametrize("section, key, value, what", [
+    ("params", "etta", "digits:1,1", "unknown params key 'etta'"),
+    ("field", "modulo", [1, 1, 0, 0, 1], "unknown field key 'modulo'"),
+    ("output", "pth", "out.json", "unknown output key 'pth'"),
+    (None, "subpace", "generic:1", "unknown config key 'subpace'"),
+    (None, "task", ["mrd"], "unknown config key 'task'"),
+    (None, "tasks", ["mrdd"], "unknown task 'mrdd'"),
+], ids=["params", "field", "output", "top-level", "task", "task-name"])
+def test_misspelled_config_key_exits_2(tmp_path, capsys, section, key, value, what):
+    # each of these used to run with the key ignored: untwisted, the
+    # default modulus, stdout, generic:0, or no MRD section
+    config = json.loads(json.dumps(SMALL_CONSTRUCT))
+    (config.setdefault(section, {}) if section else config)[key] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["construct", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"ParamError: {what} (allowed: " in captured.err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_sweep_misspelled_grid_axis_exits_2(tmp_path, capsys):
+    # the axis subspace would be empty, so the sweep wrote a header-only CSV
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"grid": {
+        "p": [2], "e": [1], "n": [4], "m": [3], "k": [1], "s": [1], "h": [0],
+        "eta": ["0"], "subspce": ["generic:0"],
+    }}))
+    rc = run(["sweep", "--config", str(cfg), "--output", "-"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "unknown sweep grid axis 'subspce' (allowed: p, e, n, m, k, s, h, eta, subspace)" in captured.err

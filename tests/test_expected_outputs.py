@@ -1,0 +1,47 @@
+"""Output bytes against the benchmark's recorded digests: a few cheap ops
+of ``bench/workloads.py``'s ``choice_space`` (one sweep, one construct,
+one nuclei, one aut over F_4) run in-process, and each exit code and
+stdout SHA-256 must equal its entry in ``bench/expected.json``.  A
+change that moves output bytes then fails here as well as in the
+benchmark.  The bench files are only read, never written."""
+
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from rankmetric.cli import main
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _workloads()
+EXPECTED = json.loads((BENCH / "expected.json").read_text(encoding="utf-8"))
+
+# (workload, op id): the first choice of the slot; census-01 is a sweep
+# over F_3, field-scale-03 a construct over F_17, field-scale-05 nuclei
+# over F_(2^10), aut-exhaustive-05 an aut over F_(4^3)
+OPS = [("census", "census-01"), ("field-scale", "field-scale-03"),
+       ("field-scale", "field-scale-05"), ("aut-exhaustive", "aut-exhaustive-05")]
+
+
+@pytest.mark.parametrize("workload, op_id", OPS, ids=[op_id for _, op_id in OPS])
+def test_output_matches_the_recorded_digest(tmp_path, capsys, workload, op_id):
+    op = next(op for op in WORKLOADS.choice_space(workload) if op["id"] == op_id)
+    config = tmp_path / "grid.json"
+    if op["verb"] == "sweep":
+        config.write_text(WORKLOADS.config_text(op), encoding="utf-8")
+    code = main(WORKLOADS.argv(op, str(config)))
+    out = capsys.readouterr().out.encode()
+    assert {"exit": code, "sha256": hashlib.sha256(out).hexdigest()} == EXPECTED[WORKLOADS.op_key(op)]
