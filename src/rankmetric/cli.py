@@ -432,13 +432,17 @@ def run_selfcheck() -> int:
             for _ in range(500):
                 a, b = prng.randrange(gf.order), prng.randrange(gf.order)
                 assert gf.mul(a, b) == gf._mul_generic(a, b), (gf, a, b)
+        f17 = field_create(2, 1, 17, [1, 0, 0, 1] + [0] * 13 + [1])  # x^17 + x^3 + 1: above the table limit
+        for a, b in ((prng.randrange(1, f17.order), prng.randrange(f17.order)) for _ in range(50)):
+            assert f17.mul(a, f17.inv(a)) == f17.one and f17.mul(a, b) == f17._mul_generic(b, a), (a, b)
+            assert [f17.pow(a, t) for t in range(5)] == list(itertools.accumulate([a] * 4, f17.mul, initial=1)), a
         f4 = field_create(2, 2, 3)
         f, g = _linalg.fq_arith(f4), f4.subfield_generator(1)
         chain = [f4.one]
         for _ in range(f4.q - 2):
             chain.append(f4.mul(chain[-1], g))
         assert f.packed(f._exp[:f4.q - 1]).tolist() == chain
-    _check("exp/log tables agree with schoolbook products; F_4 table inside F_64", power_tables, failures)
+    _check("schoolbook products vs exp/log tables and untabled F_2^17; F_4 table in F_64", power_tables, failures)
 
     def frobenius_hom():
         for gf in (f64, f81):

@@ -17,8 +17,10 @@ Determinism:
 
 For orders up to 2^16 the spec precomputes exp/log tables over the
 generator (one ``powers`` call), making mul, inv and Frobenius O(1);
-beyond that (the guard admits orders up to 2^24) schoolbook polynomial
-arithmetic is used.
+beyond that (the guard admits orders up to 2^24) mul, pow and inv run
+on the one set of F_p[x] helpers below (``_pmul``, ``_pmod``,
+``_ppowmod``, ``_pext_gcd``), which also run the Rabin test of the
+modulus search.
 All specs and elements are immutable, so concurrent use is safe.
 """
 
@@ -80,29 +82,29 @@ def _ptrim(a):
 
 
 def _pmul(a, b, p):
+    """a * b over F_p; the inner loop runs over the nonzero terms of b."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
+            for j, bj in terms:
                 out[i + j] = (out[i + j] + ai * bj) % p
     return _ptrim(out)
 
 
 def _pmod(a, f, p):
-    """a mod f with f monic."""
+    """a mod f with f monic; the inner loop runs over the nonzero terms of f."""
     a = list(a)
-    _ptrim(a)
     d = len(f) - 1
-    while len(a) > d:
-        c = a[-1]
+    terms = [(i, c) for i, c in enumerate(f[:-1]) if c]
+    for top in range(len(a) - 1, d - 1, -1):
+        c = a[top]
         if c:
-            off = len(a) - 1 - d
-            for i in range(d):
-                a[off + i] = (a[off + i] - c * f[i]) % p
-        a.pop()
-    return _ptrim(a)
+            for i, fi in terms:
+                a[top - d + i] = (a[top - d + i] - c * fi) % p
+    return _ptrim(a[:d])
 
 
 def _ppowmod(a, t, f, p):
@@ -158,19 +160,22 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, e: int, n: int, modulus=None, *, max_order: int = MAX_FIELD_ORDER):
-        if not is_prime(p):
+        if p < 2:
             raise NonPrimeError(f"p = {p} is not prime")
         if e < 1 or n < 1:
             raise ReducibleModulusError(f"e = {e}, n = {n} must be positive")
+        # p^bit_length(max_order) > max_order for p >= 2, so the capped
+        # exponent keeps this test exact, and cheap for any p, e and n
+        if p ** min(e * n, max_order.bit_length()) > max_order:
+            raise FieldTooLargeError(f"q^n = {p}^({e} * {n}) exceeds the guard {max_order}")
+        if not is_prime(p):
+            raise NonPrimeError(f"p = {p} is not prime")
         self.p = p
         self.e = e
         self.n = n
         self.q = p ** e
         self.degree = e * n
         self.order = p ** self.degree
-        if self.order > max_order:
-            raise FieldTooLargeError(
-                f"q^n = {self.order} exceeds the guard {max_order}")
         if modulus is None:
             modulus = _lex_smallest_irreducible(p, self.degree)
         else:
@@ -183,16 +188,6 @@ class FieldSpec:
         self.modulus = tuple(modulus)
         self.zero = 0
         self.one = 1
-
-        # reduction table: digits of x^(degree+i) mod f, i = 0..degree-2
-        self._xred = []
-        cur = [(-c) % p for c in modulus[:-1]]  # x^degree
-        self._xred.append(list(cur))
-        for _ in range(self.degree - 2):
-            cur = [0] + cur
-            cur = _pmod(cur, list(modulus), p)
-            cur = cur + [0] * (self.degree - len(cur))
-            self._xred.append(list(cur))
 
         self._digit_weights = p ** np.arange(self.degree, dtype=np.int64)
         self._exp = None
@@ -277,23 +272,9 @@ class FieldSpec:
         return self.add(a, self.neg(b))
 
     def _mul_generic(self, a: int, b: int) -> int:
-        p, d = self.p, self.degree
-        da, db = self._int_digits(a), self._int_digits(b)
-        conv = [0] * (2 * d - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] = (conv[i + j] + x * y) % p
-        for i in range(2 * d - 2, d - 1, -1):
-            c = conv[i]
-            if c:
-                red = self._xred[i - d]
-                for j, r in enumerate(red):
-                    conv[j] = (conv[j] + c * r) % p
-        v = 0
-        for x in reversed(conv[:d]):
-            v = v * p + x
-        return v
+        """The schoolbook product: ``mul`` above the table limit, and ``powers``."""
+        p = self.p
+        return self.from_coords(_pmod(_pmul(self._int_digits(a), self._int_digits(b), p), self.modulus, p))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -307,14 +288,12 @@ class FieldSpec:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         if self._exp is not None:
             return self._exp[(-self._log[a]) % (self.order - 1)]
-        # extended Euclid on representatives: u*a + v*f = g, g a unit
-        p, f = self.p, list(self.modulus)
-        g, u, _ = _pext_gcd(_ptrim(self._int_digits(a)), f, p)
+        # extended Euclid on representatives: u*a + v*f = g, g a unit, and
+        # deg u < deg f, so u/g is the reduced inverse
+        g, u, _ = _pext_gcd(self._int_digits(a), self.modulus, self.p)
         assert len(g) == 1
-        c = pow(g[0], -1, p)
-        out = _pmod([(x * c) % p for x in u], f, p)
-        out = out + [0] * (self.degree - len(out))
-        return self.from_coords(out)
+        c = pow(g[0], -1, self.p)
+        return self.from_coords([x * c for x in u])
 
     def pow(self, a: int, t: int) -> int:
         if a == 0:
@@ -326,13 +305,7 @@ class FieldSpec:
         t %= self.order - 1 if self.order > 2 else 1
         if self._exp is not None:
             return self._exp[(self._log[a] * t) % (self.order - 1)]
-        result, base = 1, a
-        while t:
-            if t & 1:
-                result = self._mul_generic(result, base)
-            base = self._mul_generic(base, base)
-            t >>= 1
-        return result
+        return self.from_coords(_ppowmod(self._int_digits(a), t, self.modulus, self.p))
 
     def powers(self, g: int, count: int) -> np.ndarray:
         """The packed g^0, ..., g^(count-1) as an int64 array.

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,18 @@ def test_guard_exit_code(tmp_path, capsys):
     }))
     rc = run(["construct", "--config", str(cfg), "--output", "-"])
     assert rc == 3
+
+
+# each field is too large, and costly to check any other way: trial
+# division of a prime near 10^18, building 3^(2*10^8), printing 2^(10^8)
+@pytest.mark.parametrize("p, e, n", [("1000000000000000003", "1", "1"), ("3", "1", "200000000"),
+                                     ("2", "100000000", "1")])
+def test_huge_field_exits_3_at_once(capsys, p, e, n):
+    start = time.perf_counter()
+    rc = run(["construct", "--p", p, "--e", e, "--n", n, "--m", "2", "--k", "1", "--s", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 3
+    assert capsys.readouterr().err == f"guard: q^n = {p}^({e} * {n}) exceeds the guard {2 ** 24}\n"
 
 
 def test_nuclei_subfield_preset(tmp_path):

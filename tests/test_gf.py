@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from rankmetric import _linalg
+from rankmetric import gf as gf_module
 from rankmetric.errors import (
     DependentBasisError,
     FieldTooLargeError,
@@ -60,6 +62,14 @@ def test_reducible_modulus_rejected():
 def test_field_guard():
     with pytest.raises(FieldTooLargeError):
         field_create(2, 1, 30)
+
+
+# the guard fires before primality testing and before q^n is built;
+# 10^18 + 4 is composite, but its field is too large all the same
+@pytest.mark.parametrize("p, e, n", [(10 ** 18 + 3, 1, 1), (10 ** 18 + 4, 1, 1), (3, 1, 2 * 10 ** 8), (2, 10 ** 8, 1)])
+def test_field_guard_fires_before_work_that_grows_with_p_or_the_degree(p, e, n):
+    with pytest.raises(FieldTooLargeError, match=r"q\^n = %d\^\(%d \* %d\) exceeds the guard" % (p, e, n)):
+        field_create(p, e, n)
 
 
 # -- frobenius ---------------------------------------------------------------
@@ -238,12 +248,40 @@ def test_field_axioms_random_sample(f81, f64):
                 assert gf.mul(a, gf.inv(a)) == gf.one
 
 
-def test_generic_path_matches_tables(f81):
-    # the schoolbook kernel must agree with the exp/log tables
+def _dense_modulus(p, d):
+    # the first monic irreducible of degree d with every coefficient nonzero
+    return next(list(c) + [1] for c in itertools.product(range(1, p), repeat=d)
+                if poly_is_irreducible(list(c) + [1], p))
+
+
+# the untabled product and reduction skip zero terms, so both sparse
+# default moduli and a dense one (x^4 + x^3 + x^2 + x + 1 over F_3) run
+@pytest.mark.parametrize("pen, dense", [((2, 1, 8), False), ((3, 1, 4), False), ((3, 1, 5), False),
+                                        ((7, 1, 3), False), ((2, 2, 3), False), ((3, 1, 4), True)],
+                         ids=["p2-e1-n8", "p3-e1-n4", "p3-e1-n5", "p7-e1-n3", "p2-e2-n3", "p3-e1-n4-dense"])
+def test_generic_path_matches_tables(monkeypatch, pen, dense):
+    modulus = _dense_modulus(pen[0], pen[1] * pen[2]) if dense else None
+    tabled = field_create(*pen, modulus)
+    monkeypatch.setattr(gf_module, "_TABLE_LIMIT", 0)
+    untabled = field_create(*pen, modulus)
+    assert tabled._exp is not None and untabled._exp is None
+    assert (untabled.modulus, untabled.generator) == (tabled.modulus, tabled.generator)
+    if dense:
+        assert all(untabled.modulus)
+    order = tabled.order
     rng = random.Random(5)
-    for _ in range(500):
-        a, b = rng.randrange(81), rng.randrange(81)
-        assert f81._mul_generic(a, b) == f81.mul(a, b)
+    for _ in range(150):
+        a, b = rng.randrange(order), rng.randrange(order)
+        for op in ("mul", "add", "sub"):
+            assert getattr(untabled, op)(a, b) == getattr(tabled, op)(a, b), (op, a, b)
+        assert untabled.neg(a) == tabled.neg(a)
+        assert untabled.frobenius(a, b % tabled.n) == tabled.frobenius(a, b % tabled.n)
+        exponents = [0, 1, 2, b, order - 1, order, 3 * order + b]
+        if a:
+            assert untabled.inv(a) == tabled.inv(a)
+            exponents += [-1, -b - 1]
+        for t in exponents:
+            assert untabled.pow(a, t) == tabled.pow(a, t), (a, t)
 
 
 # -- power tables against the schoolbook chain -----------------------------
