@@ -37,7 +37,7 @@ import numpy as np
 from .errors import SingularMatrixError
 
 __all__ = [
-    "STACK_BUDGET", "chunk_len", "stack_chunks", "PrimeField", "TableField", "BitField", "fq_arith",
+    "digit_sum", "STACK_BUDGET", "chunk_len", "stack_chunks", "PrimeField", "TableField", "BitField", "fq_arith",
     "modp_rref", "modp_rank", "modp_nullspace", "modp_dual", "modp_inv", "modp_reduction",
     "modp_span",
     "generic_rref", "generic_rank", "generic_nullspace", "generic_inv",
@@ -48,6 +48,17 @@ __all__ = [
 # ----------------------------------------------------------------------------
 # F_q arithmetic on numpy arrays of element indices
 # ----------------------------------------------------------------------------
+
+def digit_sum(x, y, sign, p, weights):
+    """x + sign * y over F_p, one base-p digit per place value in ``weights`` (a XOR for p = 2), on
+    ints or int64 arrays: the one digit-wise F_p sum.  A plain loop: ``sum`` of a generator is slower."""
+    if p == 2:
+        return x ^ y
+    out = 0
+    for w in weights:
+        out += (x // w + sign * (y // w)) % p * w
+    return out
+
 
 class _EntryRows:
     """A matrix row stored entry by entry: column j is r[..., j]."""
@@ -110,7 +121,7 @@ class TableField(_EntryRows):
     Fields*, ch. 9); log of zero is a sentinel that lands every product
     with zero in the zero half of the exp table.  Sums map each index to
     its code, the F_p-coordinates over (1, g, ..., g^(e-1)) read base p,
-    add codes digitwise (XOR for p = 2) and map back.  Every table has
+    add codes with ``digit_sum`` and map back.  Every table has
     O(q) entries."""
 
     def __init__(self, gf):
@@ -129,12 +140,6 @@ class TableField(_EntryRows):
         self._code = np.argsort(self._from_code)
         self._cexp = self._code[self._exp]
 
-    def _cadd(self, x, y, sign=1):
-        """Codes of x + sign * y, digit by digit."""
-        if self.p == 2:
-            return x ^ y
-        return sum((x // w + sign * (y // w)) % self.p * w for w in self._weights)
-
     def index(self, packed):
         return np.searchsorted(self._fq, packed)
 
@@ -145,13 +150,14 @@ class TableField(_EntryRows):
         return self._exp[self._log[a] + self._log[b]]
 
     def sub(self, a, b):
-        return self._from_code[self._cadd(self._code[a], self._code[b], -1)]
+        return self._from_code[digit_sum(self._code[a], self._code[b], -1, self.p, self._weights)]
 
     def inv(self, a):
         return self._inv[a]
 
     def submul(self, r, c, x):
-        return self._from_code[self._cadd(self._code[r], self._cexp[self._log[c] + self._log[x]], -1)]
+        prod = self._cexp[self._log[c] + self._log[x]]
+        return self._from_code[digit_sum(self._code[r], prod, -1, self.p, self._weights)]
 
     def matmul(self, a, b):
         """Broadcasting a @ b, one table product per inner index."""
@@ -159,7 +165,7 @@ class TableField(_EntryRows):
         shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
         acc = np.zeros(shape, dtype=np.int64)
         for i in range(a.shape[-1]):
-            acc = self._cadd(acc, self._cexp[la[..., :, i, None] + lb[..., i, None, :]])
+            acc = digit_sum(acc, self._cexp[la[..., :, i, None] + lb[..., i, None, :]], 1, self.p, self._weights)
         return self._from_code[acc]
 
 

@@ -359,14 +359,12 @@ def cmd_sweep(config) -> int:
         row.update(p=p, e=e, n=n, m=m, k=k, s=s, h=h,
                    eta=str(eta_sel), subspace=str(sub_sel))
         try:
-            inst_config = {
+            _, _, params, S, code, _ = _instance({
                 "field": {"p": p, "e": e, "n": n},
                 "params": {"m": m, "k": k, "s": s, "h": h, "eta": eta_sel},
                 "subspace": sub_sel,
                 "guards": config.get("guards", {}),
-            }
-            gf, params, S = resolve_instance(inst_config, guards)
-            code = project_code(build_gtg(params), S)
+            })
             row["dim"] = code.dim
             verdict, cert = is_mrd(code, guards["max_codewords"])
             row["mrd"] = verdict
@@ -388,8 +386,7 @@ def cmd_sweep(config) -> int:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     _write_output(config, buf.getvalue())
     return 0
 
@@ -442,7 +439,12 @@ def run_selfcheck() -> int:
         for _ in range(f4.q - 2):
             chain.append(f4.mul(chain[-1], g))
         assert f.packed(f._exp[:f4.q - 1]).tolist() == chain
-    _check("schoolbook products vs exp/log tables and untabled F_2^17; F_4 table in F_64", power_tables, failures)
+        for gf in (f81, field_create(3, 1, 11)):  # 3^11: an odd-p field above the table limit
+            for a, b in ((prng.randrange(gf.order), prng.randrange(gf.order)) for _ in range(200)):
+                ref = [[x + y, x - y, -y] for x, y in zip(gf.coords(a), gf.coords(b))]
+                assert [gf.add(a, b), gf.sub(a, b), gf.neg(b)] == [gf.from_coords(c) for c in zip(*ref)], (gf, a, b)
+    _check("schoolbook products vs exp/log tables and untabled F_2^17; F_4 table in F_64; "
+           "sums vs coordinates on F_81, F_3^11", power_tables, failures)
 
     def frobenius_hom():
         for gf in (f64, f81):

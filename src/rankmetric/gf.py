@@ -20,8 +20,8 @@ generator (one ``powers`` call), making mul, inv and Frobenius O(1);
 beyond that (the guard admits orders up to 2^24) mul, pow and inv run
 on the one set of F_p[x] helpers below (``_pmul``, ``_pmod``,
 ``_ppowmod``, ``_pext_gcd``), which also run the Rabin test of the
-modulus search.
-All specs and elements are immutable, so concurrent use is safe.
+modulus search.  Sums at every order are ``_linalg.digit_sum``.  All
+specs and elements are immutable, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -190,23 +190,19 @@ class FieldSpec:
         self.one = 1
 
         self._digit_weights = p ** np.arange(self.degree, dtype=np.int64)
+        self._weights = self._digit_weights.tolist()  # Python ints keep packed values ints
         self._exp = None
         self._log = None
         self._unit_factors = factorize(self.order - 1) if self.order > 2 else {}
         self.generator = self._find_generator()
 
-        # fast tables: exp[i] = generator^i, log its inverse permutation
-        # (log[0] = -1), digit tuples for p > 2 addition
-        self._digits_cache = None
+        # fast tables: exp[i] = generator^i, log its inverse permutation (log[0] = -1)
         if self.order <= _TABLE_LIMIT:
             exp = self.powers(self.generator, self.order - 1)
             log = np.full(self.order, -1, dtype=np.int64)
             log[exp] = np.arange(self.order - 1)
             self._exp = exp.tolist()
             self._log = log.tolist()
-            if p != 2:
-                digits = np.arange(self.order)[:, None] // self._digit_weights % p
-                self._digits_cache = list(map(tuple, digits.tolist()))
 
         # F_p-coordinates of (1, g, ..., g^(e-1)), g generating F_q^*: the
         # F_p digits (d_0, ..., d_(e-1)) stand for sum d_t g^t in F_q
@@ -245,31 +241,13 @@ class FieldSpec:
     # -- ring operations ---------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self._digits_cache is not None:
-            da, db = self._digits_cache[a], self._digits_cache[b]
-        else:
-            da, db = self._int_digits(a), self._int_digits(b)
-        p = self.p
-        v = 0
-        for x, y in zip(reversed(da), reversed(db)):
-            v = v * p + (x + y) % p
-        return v
+        return _linalg.digit_sum(a, b, 1, self.p, self._weights)
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        p = self.p
-        v = 0
-        for x in reversed(self._int_digits(a)):
-            v = v * p + (-x) % p
-        return v
+        return _linalg.digit_sum(0, a, -1, self.p, self._weights)
 
     def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return self.add(a, self.neg(b))
+        return _linalg.digit_sum(a, b, -1, self.p, self._weights)
 
     def _mul_generic(self, a: int, b: int) -> int:
         """The schoolbook product: ``mul`` above the table limit, and ``powers``."""
@@ -288,9 +266,9 @@ class FieldSpec:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         if self._exp is not None:
             return self._exp[(-self._log[a]) % (self.order - 1)]
-        # extended Euclid on representatives: u*a + v*f = g, g a unit, and
+        # extended Euclid on representatives: u*a = g mod f, g a unit, and
         # deg u < deg f, so u/g is the reduced inverse
-        g, u, _ = _pext_gcd(self._int_digits(a), self.modulus, self.p)
+        g, u = _pext_gcd(self._int_digits(a), self.modulus, self.p)
         assert len(g) == 1
         c = pow(g[0], -1, self.p)
         return self.from_coords([x * c for x in u])
@@ -492,16 +470,14 @@ def _pdivmod(a, b, p):
 
 
 def _pext_gcd(a, b, p):
-    """(g, u, v) with u*a + v*b = g = gcd(a, b)."""
+    """(g, u) with g = gcd(a, b) and u*a = g mod b (the cofactor of b is not built)."""
     r0, r1 = _ptrim(list(a)), _ptrim(list(b))
     s0, s1 = [1], []
-    t0, t1 = [], [1]
     while r1:
         q_, r = _pdivmod(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _psub(s0, _pmul(q_, s1, p), p)
-        t0, t1 = t1, _psub(t0, _pmul(q_, t1, p), p)
-    return r0, s0, t0
+    return r0, s0
 
 
 def field_create(p: int, e: int, n: int, modulus=None, *, max_order: int = MAX_FIELD_ORDER) -> FieldSpec:

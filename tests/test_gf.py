@@ -305,10 +305,32 @@ def test_exp_log_and_digit_tables_match_the_schoolbook_chain(pen):
         log[v] = i
     assert gf._exp == exp
     assert gf._log == log
-    if gf.p == 2:
-        assert gf._digits_cache is None
+    _assert_sums_match_coords(gf)
+
+
+def _assert_sums_match_coords(gf):
+    """add, sub and neg against (x +- y) mod p on coords: every pair on
+    fields of at most 81 elements, 2,000 seeded pairs above that."""
+    if gf.order <= 81:
+        pairs = itertools.product(gf.elements(), repeat=2)
     else:
-        assert gf._digits_cache == [tuple(gf._int_digits(v)) for v in range(gf.order)]
+        rng = random.Random(13)
+        pairs = [(rng.randrange(gf.order), rng.randrange(gf.order)) for _ in range(2000)]
+    p = gf.p
+    for a, b in pairs:
+        ca, cb = gf.coords(a), gf.coords(b)
+        assert gf.add(a, b) == gf.from_coords([(x + y) % p for x, y in zip(ca, cb)]), (a, b)
+        assert gf.sub(a, b) == gf.from_coords([(x - y) % p for x, y in zip(ca, cb)]), (a, b)
+        assert gf.neg(b) == gf.from_coords([-y % p for y in cb]), b
+        assert type(gf.add(a, b)) is type(gf.sub(a, b)) is type(gf.neg(b)) is int
+
+
+# 3^15 and 17^4 (the field-scale field) lie above the table limit
+@pytest.mark.parametrize("pen", [(3, 1, 15), (17, 1, 4)], ids=lambda pen: "p%d-e%d-n%d" % pen)
+def test_untabled_sums_match_the_coordinatewise_reference(pen):
+    gf = field_create(*pen)
+    assert gf._exp is None
+    _assert_sums_match_coords(gf)
 
 
 @pytest.mark.parametrize("pen", [(2, 1, 6), (2, 2, 3), (3, 1, 6)], ids=lambda pen: "p%d-e%d-n%d" % pen)
