@@ -56,11 +56,9 @@ class AutTriple:
     rho: int
 
     def serialize(self, gf):
-        return {
-            "A": [[gf.fq_json(x) for x in row] for row in self.A],
-            "B": [[gf.fq_json(x) for x in row] for row in self.B],
-            "rho": self.rho,
-        }
+        """A and B as tuples of rows of ``gf.fq_json`` entries."""
+        A, B = (tuple(tuple(map(gf.fq_json, row)) for row in mat) for mat in (self.A, self.B))
+        return {"A": A, "B": B, "rho": self.rho}
 
 
 def aut_identity(gf, m, n) -> AutTriple:

@@ -256,8 +256,50 @@ def _write_output(config, text):
         raise ParamError(f"cannot write output {path}: {exc.strerror}") from None
 
 
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for the verbs' payloads
+    (str-keyed dicts, lists, tuples, str, int, bool, None, float), joined
+    once from a list of pieces: with ``indent`` CPython encodes in Python."""
+    out = []
+    _json_pieces(obj, "\n", out, {})
+    return "".join(out)
+
+
+def _json_pieces(x, ind, out, memo):
+    """Append x's pieces to out (``ind``: a newline and x's indentation).
+    Separators are interned, one string each, and each distinct tuple is
+    joined once per depth, keyed on its repr (True == 1 == 1.0 hash alike)."""
+    if x is None or type(x) is bool:
+        out.append("null" if x is None else "true" if x else "false")
+    elif type(x) is int:
+        out.append(repr(x))
+    elif isinstance(x, str):
+        out.append(json.encoder.encode_basestring_ascii(x))
+    elif isinstance(x, dict):
+        inner = ind + "  "
+        for i, (k, v) in enumerate(sorted(x.items())):
+            out.append(sys.intern(f"{',' if i else '{'}{inner}{json.encoder.encode_basestring_ascii(k)}: "))
+            _json_pieces(v, inner, out, memo)
+        out.append(sys.intern(ind + "}") if x else "{}")
+    elif isinstance(x, (list, tuple)):
+        key = (ind, repr(x)) if type(x) is tuple else None
+        if key in memo:
+            out.append(memo[key])
+            return
+        start, inner = len(out), ind + "  "
+        for i, v in enumerate(x):
+            out.append(sys.intern(("," if i else "[") + inner))
+            _json_pieces(v, inner, out, memo)
+        out.append(sys.intern(ind + "]") if x else "[]")
+        if key:
+            memo[key] = "".join(out[start:])
+            out[start:] = [memo[key]]
+    else:  # a float or an int subclass: the C encoder's text
+        out.append(json.dumps(x))
+
+
 def _emit(config, payload):
-    _write_output(config, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_output(config, _json_text(payload) + "\n")
 
 
 # ----------------------------------------------------------------------------
@@ -272,8 +314,8 @@ def _instance(config):
     header = {
         "field": gf.serialize(),
         "params": {"m": params.m, "k": params.k, "s": params.s, "h": params.h,
-                   "eta": list(gf.coords(params.eta))},
-        "subspace": [list(gf.coords(a)) for a in S.alphas],
+                   "eta": gf.coords(params.eta)},
+        "subspace": [gf.coords(a) for a in S.alphas],
     }
     return guards, gf, params, S, project_code(build_gtg(params), S), header
 
@@ -308,7 +350,7 @@ def cmd_nuclei(config) -> int:
     return 0
 
 
-def cmd_aut(config) -> int:
+def _aut_payload(config):
     guards, gf, params, S, code, payload = _instance(config)
     report = autgroup.aut_report(code, params, S, gl_guard=guards["max_gl"])
     ts = report.get("theta")
@@ -325,14 +367,15 @@ def cmd_aut(config) -> int:
         },
         "triples": [t.serialize(gf) for t in report["triples"]],
         "verdicts": [
-            {"n_side_monomial": v["n_side_monomial"],
-             "u": v["u"],
-             "a": None if v["a"] is None else list(gf.coords(v["a"])),
-             "m_side_scalar": (None if v.get("m_side_scalar") is None
-                               else list(gf.coords(v["m_side_scalar"])))}
+            {"n_side_monomial": v["n_side_monomial"], "u": v["u"],
+             **{key: None if v.get(key) is None else gf.coords(v[key]) for key in ("a", "m_side_scalar")}}
             for v in report["verdicts"]],
     })
-    _emit(config, payload)
+    return payload
+
+
+def cmd_aut(config) -> int:
+    _emit(config, _aut_payload(config))
     return 0
 
 
@@ -564,6 +607,15 @@ def run_selfcheck() -> int:
             assert sum(hist) == code.cardinality
     _check("rank histograms by codewords and by subspace counts agree on F_2 5x6 and F_9 3x3 codes",
            histogram_paths, failures)
+
+    def json_writer():
+        aut = _aut_payload({"field": {"p": 2, "e": 2, "n": 2}, "params": {"m": 2, "k": 1, "s": 1, "h": 1}})
+        aut.update(triples=aut["triples"][:100], verdicts=aut["verdicts"][:100])  # of 900: keeps json.dumps quick
+        edges = [{}, [], (), {"a": [{}, ()]}, None, True, False, 0.1, aut["summary"]["monomial_fraction"],
+                 "\u00e9\u2603", "tab\t \"q\" \\ \x01", (1, 2), [(1, 2)], [(1,), (True,), (1.0,)]]
+        assert _json_text([aut, edges]) == json.JSONEncoder(indent=2, sort_keys=True).encode([aut, edges])
+    _check("JSON writer matches json.dumps(indent=2, sort_keys=True) on an F_4 aut payload and edge values",
+           json_writer, failures)
 
     if failures:
         print(f"{len(failures)} selfcheck item(s) failed")

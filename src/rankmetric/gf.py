@@ -418,8 +418,8 @@ class FieldSpec:
         return tuple((digits @ self._qgen_coords % self.p @ self._digit_weights).tolist())
 
     def fq_json(self, x):
-        """JSON form of an F_q element: an int if q is prime, else coordinates."""
-        return int(x) if self.e == 1 else [int(d) for d in self.coords(x)]
+        """The JSON form of an F_q element: the int if q is prime, else its coordinate tuple."""
+        return int(x) if self.e == 1 else self.coords(int(x))
 
     def from_vec(self, coords) -> int:
         """The element with F_q-coordinates ``coords`` in the power basis."""
@@ -440,7 +440,7 @@ class FieldSpec:
             "e": self.e,
             "n": self.n,
             "modulus": list(self.modulus),
-            "generator": list(self.coords(self.generator)),
+            "generator": self.coords(self.generator),
         }
 
     def __repr__(self):

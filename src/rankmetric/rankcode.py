@@ -281,8 +281,8 @@ def project_code(generators, S: SubspaceSpec, provenance=None) -> RankCode:
             provenance = {
                 "family": "twisted_gabidulin",
                 "m": S.m, "k": p_.k, "s": p_.s, "h": p_.h,
-                "eta": list(p_.gf.coords(p_.eta)),
-                "subspace": [list(p_.gf.coords(a)) for a in S.alphas],
+                "eta": p_.gf.coords(p_.eta),
+                "subspace": [p_.gf.coords(a) for a in S.alphas],
             }
     else:
         polys = list(generators)

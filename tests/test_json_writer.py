@@ -1,0 +1,72 @@
+"""The CLI's JSON writer against ``json.dumps(x, indent=2, sort_keys=True)``:
+the payloads of construct, nuclei and aut over F_p and over F_4 (captured
+by patching ``cli._emit``), and the edge values the writer must get
+right on its own."""
+
+import json
+
+import pytest
+
+from rankmetric import cli
+
+
+def _reference(x):
+    return json.dumps(x, indent=2, sort_keys=True)
+
+
+F5 = ["--p", "5", "--e", "1", "--n", "3", "--m", "2", "--k", "1", "--s", "1", "--h", "1",
+      "--eta", "nonsquare-min", "--subspace", "generic:0"]
+F4 = ["--p", "2", "--e", "2", "--n", "2", "--m", "2", "--k", "1", "--s", "1", "--h", "1",
+      "--subspace", "generic:0"]
+RUNS = {f"{verb}-{name}": [verb, *flags] for verb in ("construct", "nuclei", "aut")
+        for name, flags in (("F5", F5), ("F4", F4))}
+
+
+@pytest.mark.parametrize("argv", RUNS.values(), ids=RUNS.keys())
+def test_writer_matches_json_dumps_on_every_verb_payload(tmp_path, monkeypatch, argv):
+    config = tmp_path / "tasks.json"
+    config.write_text(json.dumps({"tasks": ["mrd"]}) if argv[0] == "construct" else "{}")
+    payloads = []
+    monkeypatch.setattr(cli, "_emit", lambda _config, payload: payloads.append(payload))
+    assert cli.main([*argv, "--config", str(config)]) == 0
+    (payload,) = payloads
+    if argv[0] == "aut":
+        assert isinstance(payload["summary"]["monomial_fraction"], float)
+        assert isinstance(payload["triples"][0]["B"], tuple)
+    if argv[0] == "construct":
+        assert "mrd" in payload
+    assert cli._json_text(payload) == _reference(payload)
+
+
+EDGES = {
+    "empty dict": {},
+    "empty list": [],
+    "empty tuple": (),
+    "nested empties": {"a": [{}, [], ()], "b": ({},), "c": [[[]]], "d": ((),)},
+    "None": None,
+    "True": True,
+    "False": False,
+    "literals in a dict": {"n": None, "t": True, "f": False},
+    "0.1": 0.1,
+    "floats": [0.5, 1e300, -0.0, 2.0, 1 / 3, float("nan"), float("inf")],
+    "ints": [0, -7, 2 ** 70],
+    "non-ASCII string": "été ☃ \U0001d53d",
+    "string needing escapes": "tab\t newline\n \"quote\" back\\slash \x01 \x7f /",
+    "non-ASCII key": {"é": 1, "a": 2},
+    "same tuple at two depths": [(1, 2), [(1, 2)], {"x": (1, 2)}, ((1, 2),)],
+    "1, True and 1.0 at one depth": [(1,), (True,), (1.0,), (1, True, 1.0), (True, 1.0, 1)],
+    "1, True and 1.0 in nested tuples": [((1,),), ((True,),), ((1.0,),), {"a": ((0,),), "b": ((False,),)}],
+    "tuples holding lists and dicts": [([1],), ([True],), ({"k": 1},), ({"k": True},)],
+}
+
+
+@pytest.mark.parametrize("value", EDGES.values(), ids=EDGES.keys())
+def test_writer_matches_json_dumps_on_edge_values(value):
+    assert cli._json_text(value) == _reference(value)
+
+
+def test_writer_rejects_what_json_dumps_rejects():
+    with pytest.raises(TypeError):
+        cli._json_text({"a": {1, 2}})
+    with pytest.raises(TypeError):
+        cli._json_text({1: "int key"})
