@@ -72,6 +72,9 @@ class _EntryRows:
     def width(self, r):
         return r.shape[-1]
 
+    def unpack(self, r):  # the entries of kernel rows: already stored one by one
+        return r
+
 
 class PrimeField(_EntryRows):
     """F_p on int64 arrays: an element is its own index."""
@@ -174,7 +177,7 @@ class BitField:
     is entry j), so a matrix (R, n) is stored as (R, 1) words; a product
     with a 0/1 scalar is a multiply and a sum a XOR: the packed rows of
     M4RI (Albrecht, Bard & Hart, "Algorithm 898", ACM TOMS 37(1), 2010)
-    without its Four-Russians tables.  Serves modp_rref/rank/span."""
+    without its Four-Russians tables.  Serves modp_rref/rank/nullspace/span."""
 
     q = 2
 
@@ -189,6 +192,8 @@ class BitField:
 
     def packed(self, words):
         return words >> self._bits & 1
+
+    unpack = packed  # word rows (R, 1) -> 0/1 entries (R, n)
 
     def entries(self, a):
         return np.array(a, dtype=np.int64)
@@ -328,16 +333,17 @@ def _null_basis(r, pivots, f):
 
 
 def modp_nullspace(a, p):
-    """Canonical basis of {x : a x = 0}, one vector per free column; for
-    a stack, the list of the bases of its matrices, read off the stacked
-    RREF only for the matrices with nonzero nullity."""
+    """Canonical basis of {x : a x = 0}, one vector of entries per free
+    column; for a stack, the list of the bases of its matrices, read off
+    the stacked RREF only for the matrices with nonzero nullity.  Under
+    ``BitField`` the rows of ``a`` are words and the vectors 0/1 entries."""
     f = _field(p)
     r, pivots = modp_rref(a, f)
     if r.ndim == 2:
-        return _null_basis(r, pivots, f)
+        return _null_basis(f.unpack(r), pivots, f)
     out = [[] for _ in range(len(r))]
-    for k in np.flatnonzero((pivots >= 0).sum(axis=1) < r.shape[2]):
-        out[k] = _null_basis(r[k], [int(c) for c in pivots[k] if c >= 0], f)
+    for k in np.flatnonzero((pivots >= 0).sum(axis=1) < f.width(r)):
+        out[k] = _null_basis(f.unpack(r[k]), [int(c) for c in pivots[k] if c >= 0], f)
     return out
 
 

@@ -19,8 +19,12 @@ import csv
 import io
 import itertools
 import json
+import os
 import random
 import sys
+
+# rankmetric does only int64 array work, so BLAS is never called: no OpenBLAS worker thread
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import _linalg, autgroup, nuclei
 from .autgroup import GL_GUARD_AUT
@@ -256,12 +260,14 @@ def _write_output(config, text):
         raise ParamError(f"cannot write output {path}: {exc.strerror}") from None
 
 
-def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` for the verbs' payloads
-    (str-keyed dicts, lists, tuples, str, int, bool, None, float), joined
-    once from a list of pieces: with ``indent`` CPython encodes in Python."""
+def _json_text(obj, end="") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True) + end`` for the verbs'
+    payloads (str-keyed dicts, lists, tuples, str, int, bool, None, float),
+    joined once from a list of pieces: with ``indent`` CPython encodes in
+    Python, and a ``+ end`` after the join would copy the whole text."""
     out = []
     _json_pieces(obj, "\n", out, {})
+    out.append(end)
     return "".join(out)
 
 
@@ -299,7 +305,7 @@ def _json_pieces(x, ind, out, memo):
 
 
 def _emit(config, payload):
-    _write_output(config, _json_text(payload) + "\n")
+    _write_output(config, _json_text(payload, "\n"))
 
 
 # ----------------------------------------------------------------------------

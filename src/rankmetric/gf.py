@@ -213,6 +213,7 @@ class FieldSpec:
         self._vecrepr_cache: dict[tuple, np.ndarray] = {}
         self._interp_cache: dict[tuple, list] = {}
         self._misc_cache: dict = {}
+        self._fq_json: dict[int, tuple] = {}  # F_q element -> its coords, see fq_json
 
     # -- packing ---------------------------------------------------------
 
@@ -418,8 +419,13 @@ class FieldSpec:
         return tuple((digits @ self._qgen_coords % self.p @ self._digit_weights).tolist())
 
     def fq_json(self, x):
-        """The JSON form of an F_q element: the int if q is prime, else its coordinate tuple."""
-        return int(x) if self.e == 1 else self.coords(int(x))
+        """The JSON form of an F_q element: the int if q is prime, else its
+        coordinate tuple, built once per element and field spec."""
+        if self.e == 1:
+            return int(x)
+        if x not in self._fq_json:
+            self._fq_json[x] = self.coords(int(x))
+        return self._fq_json[x]
 
     def from_vec(self, coords) -> int:
         """The element with F_q-coordinates ``coords`` in the power basis."""

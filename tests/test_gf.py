@@ -379,6 +379,16 @@ def test_tower_field():
         assert gf.frobenius(a, gf.n) == a
 
 
+def test_fq_json_is_the_int_or_one_coords_tuple_per_element(f81):
+    gf = field_create(2, 2, 3)
+    for a in gf.fq_list():
+        form = gf.fq_json(a)
+        assert form == gf.coords(a) and all(type(d) is int for d in form)
+        assert gf.fq_json(np.int64(a)) is form  # built once per element
+    assert [f81.fq_json(np.int64(a)) for a in f81.fq_list()] == [0, 1, 2]
+    assert all(type(f81.fq_json(np.int64(a))) is int for a in f81.fq_list())
+
+
 def test_serialize_roundtrip(f81):
     blob = f81.serialize()
     again = field_create(blob["p"], blob["e"], blob["n"], blob["modulus"])

@@ -63,6 +63,7 @@ EDGES = {
 @pytest.mark.parametrize("value", EDGES.values(), ids=EDGES.keys())
 def test_writer_matches_json_dumps_on_edge_values(value):
     assert cli._json_text(value) == _reference(value)
+    assert cli._json_text(value, "\n") == _reference(value) + "\n"
 
 
 def test_writer_rejects_what_json_dumps_rejects():

@@ -130,16 +130,23 @@ def test_stacked_modp_rref_matches_generic_rref(p, shape):
         assert rank == _linalg.generic_rank(mat.tolist(), ops)
         assert [v.tolist() for v in null] == _linalg.generic_nullspace(mat.tolist(), ops)
     if p == 2:
-        # F_2 rows packed into words: the same RREF, pivots and ranks
+        # F_2 rows packed into words: the same RREF, pivots, ranks and
+        # nullspaces (nullity 0 on the tall and square grids, full on stack[1])
         bits = _linalg.BitField(shape[2])
         words = bits.index(stack)
         r, pivots = _linalg.modp_rref(words, bits)
         assert words.shape == shape[:2] + (1,) and (bits.packed(words) == stack).all()
-        for mat, rmat, piv, rank in zip(stack, r, pivots, _linalg.modp_rank(words, bits)):
+        packed_nulls = _linalg.modp_nullspace(words, bits)
+        for mat, rmat, piv, rank, null, packed_null in zip(stack, r, pivots, _linalg.modp_rank(words, bits),
+                                                           nulls, packed_nulls):
             want, want_pivots = _linalg.generic_rref(mat.tolist(), ops)
             assert bits.packed(rmat).tolist() == want
             assert [int(c) for c in piv if c >= 0] == want_pivots
             assert rank == len(want_pivots)
+            assert [v.tolist() for v in packed_null] == [v.tolist() for v in null]
+            single_null = _linalg.modp_nullspace(bits.index(mat), bits)  # a matrix is a stack of one
+            assert [v.tolist() for v in single_null] == [v.tolist() for v in null]
+        assert len(packed_nulls[1]) == shape[2]
         with pytest.raises(ValueError):
             _linalg.BitField(63)                   # a row must fit one int64 word
 

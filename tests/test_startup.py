@@ -1,0 +1,89 @@
+"""What importing the package and the CLI does to a fresh interpreter:
+``import rankmetric`` is lazy (no submodule, no numpy, no environment
+change), and ``import rankmetric.cli`` runs numpy with one OpenBLAS
+thread unless the caller chose a count."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import rankmetric
+
+SRC = str(Path(rankmetric.__file__).resolve().parents[1])
+
+# every name ``from rankmetric import *`` gave when the package imported
+# its submodules eagerly
+EXPORTS = [
+    "AnsatzMismatchError", "AutTriple", "CodeParams", "DependentBasisError", "DependentSetError",
+    "DimensionCollapseError", "EnumerationGuardError", "FieldSpec", "FieldTooLargeError",
+    "GcdViolationError", "GtgGenerators", "HypothesisNotMetError", "LinearizedPoly", "NonPrimeError",
+    "NormConditionError", "NotADivisorError", "NotSquareError", "NucleusReport", "OneNotInSError",
+    "ParamError", "RankCode", "RankMetricError", "ReducibleModulusError", "ShapeMismatchError",
+    "SingularMatrixError", "SpecMismatchError", "SubspaceSpec", "ThetaSet", "adjoint",
+    "apply_equivalence", "aut_bruteforce", "aut_report", "autgroup", "build_gtg", "check_monomial_form",
+    "errors", "field_create", "generate_known_automorphisms", "gf", "hypothesis_check", "is_mrd",
+    "largest_linearity_field", "linpoly", "lp_compose", "lp_eval", "matrix_to_poly",
+    "middle_nucleus_bruteforce", "middle_report", "min_distance", "normalizer_elements", "nuclei",
+    "nucleus_field_structure", "poly_from_reduced", "poly_from_values", "poly_to_matrix",
+    "predict_middle_nucleus", "predict_right_nucleus", "project_code", "rank_distance",
+    "rank_weight_distribution", "rankcode", "reduce_mod_theta", "right_nucleus_bruteforce", "right_report",
+    "roots_in_subspace", "shift_support", "smallest_containing_subfield", "subspace_poly", "theta_set",
+]
+
+
+def _child(code, **env):
+    """Run ``code`` in a fresh interpreter with ``src`` on the path and
+    OPENBLAS_NUM_THREADS unset unless given; returns its JSON stdout."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+CLI_THREADS = """
+import json, os
+import rankmetric.cli
+task = "/proc/self/task"
+print(json.dumps({"blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "threads": len(os.listdir(task)) if os.path.isdir(task) else None}))
+"""
+
+
+def test_cli_import_runs_numpy_with_one_openblas_thread():
+    out = _child(CLI_THREADS)
+    assert out["blas"] == "1"
+    if out["threads"] is None:
+        pytest.skip("no /proc/self/task to count OS threads in")
+    assert out["threads"] == 1
+
+
+def test_cli_import_keeps_the_callers_thread_count():
+    assert _child(CLI_THREADS, OPENBLAS_NUM_THREADS="2")["blas"] == "2"
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    out = _child("""
+import json, os, sys
+before = dict(os.environ)
+import rankmetric
+print(json.dumps({"loaded": sorted(m for m in sys.modules if m == "numpy" or m.startswith("rankmetric.")),
+                  "environ_unchanged": dict(os.environ) == before}))
+""")
+    assert out == {"loaded": [], "environ_unchanged": True}
+
+
+def test_star_import_resolves_every_export():
+    namespace = {}
+    exec("from rankmetric import *", namespace)
+    assert sorted(rankmetric.__all__) == EXPORTS
+    for name in EXPORTS:
+        assert namespace[name] is getattr(rankmetric, name)
+    assert rankmetric.field_create is rankmetric.gf.field_create
+    with pytest.raises(AttributeError):
+        rankmetric.no_such_name
