@@ -226,7 +226,8 @@ def aut_bruteforce(code: RankCode, gl_guard: int = GL_GUARD_AUT):
         raise EnumerationGuardError(
             f"code is {'the zero code' if not code.basis else 'the full matrix space'}; "
             "its automorphism set is all of GL(m,q) x GL(n,q) x Aut(F_q) and is not enumerated")
-    return [AutTriple(a_mat, b_mat, rho) for rho in range(gf.e)
+    shared = {}  # one tuple per distinct B: many A share their B's
+    return [AutTriple(a_mat, shared.setdefault(b_mat, b_mat), rho) for rho in range(gf.e)
             for a_mat, null in code.right_stabilizers(enumerate_gl(gf, code.m, gl_guard), rho)
             for b_mat in sorted(_invertible_span(gf, null, n))]
 

@@ -15,13 +15,14 @@ self-check failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import itertools
 import json
 import os
 import random
 import sys
+import types
 
 # rankmetric does only int64 array work, so BLAS is never called: no OpenBLAS worker thread
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -243,38 +244,58 @@ def resolve_instance(config, guards):
     return gf, params, S
 
 
-def _write_output(config, text):
-    """Write to the configured output path (stdout for "-"); a path that
-    is not a string or cannot be written is a ParamError (exit 2), not a
-    traceback."""
+@contextlib.contextmanager
+def _output(config):
+    """The configured output (stdout for "-") as an open text file; a path
+    that is not a string or cannot be written is a ParamError (exit 2),
+    not a traceback."""
     path = config.get("output", {}).get("path", "-")
     if not isinstance(path, str):
         raise ParamError(f"output.path must be a string, got {path!r}")
     if path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     except OSError as exc:
         raise ParamError(f"cannot write output {path}: {exc.strerror}") from None
 
 
-def _json_text(obj, end="") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True) + end`` for the verbs'
-    payloads (str-keyed dicts, lists, tuples, str, int, bool, None, float),
-    joined once from a list of pieces: with ``indent`` CPython encodes in
-    Python, and a ``+ end`` after the join would copy the whole text."""
+# pieces the writer collects before it joins them and writes the chunk
+FLUSH_PIECES = 1024
+
+
+def _json_write(obj, write, end=""):
+    """Write ``json.dumps(obj, indent=2, sort_keys=True) + end`` for the
+    verbs' payloads (str-keyed dicts, lists, tuples, generators as arrays,
+    str, int, bool, None, float) to ``write``, in chunks of about
+    FLUSH_PIECES pieces: with ``indent`` CPython encodes in Python, and
+    the whole text is never held at once."""
     out = []
-    _json_pieces(obj, "\n", out, {})
+
+    def flush():
+        write("".join(out))
+        out.clear()
+    _json_pieces(obj, "\n", out, {}, flush)
     out.append(end)
-    return "".join(out)
+    flush()
 
 
-def _json_pieces(x, ind, out, memo):
+def _json_text(obj, end="") -> str:
+    """``_json_write``'s text as one string."""
+    chunks = []
+    _json_write(obj, chunks.append, end)
+    return "".join(chunks)
+
+
+def _json_pieces(x, ind, out, memo, flush):
     """Append x's pieces to out (``ind``: a newline and x's indentation).
     Separators are interned, one string each, and each distinct tuple is
-    joined once per depth, keyed on its repr (True == 1 == 1.0 hash alike)."""
+    joined once per depth, keyed on its repr (True == 1 == 1.0 hash alike).
+    An array outside any tuple calls ``flush`` between its items once out
+    holds more than FLUSH_PIECES pieces; a tuple passes None, since its
+    pieces must stay in out until they are joined."""
     if x is None or type(x) is bool:
         out.append("null" if x is None else "true" if x else "false")
     elif type(x) is int:
@@ -285,18 +306,23 @@ def _json_pieces(x, ind, out, memo):
         inner = ind + "  "
         for i, (k, v) in enumerate(sorted(x.items())):
             out.append(sys.intern(f"{',' if i else '{'}{inner}{json.encoder.encode_basestring_ascii(k)}: "))
-            _json_pieces(v, inner, out, memo)
+            _json_pieces(v, inner, out, memo, flush)
         out.append(sys.intern(ind + "}") if x else "{}")
-    elif isinstance(x, (list, tuple)):
+    elif isinstance(x, (list, tuple, types.GeneratorType)):
         key = (ind, repr(x)) if type(x) is tuple else None
         if key in memo:
             out.append(memo[key])
             return
-        start, inner = len(out), ind + "  "
-        for i, v in enumerate(x):
-            out.append(sys.intern(("," if i else "[") + inner))
-            _json_pieces(v, inner, out, memo)
-        out.append(sys.intern(ind + "]") if x else "[]")
+        if key:
+            flush = None
+        start, inner, empty = len(out), ind + "  ", True
+        for v in x:
+            out.append(sys.intern(("[" if empty else ",") + inner))
+            empty = False
+            _json_pieces(v, inner, out, memo, flush)
+            if flush and len(out) > FLUSH_PIECES:
+                flush()
+        out.append("[]" if empty else sys.intern(ind + "]"))
         if key:
             memo[key] = "".join(out[start:])
             out[start:] = [memo[key]]
@@ -305,7 +331,8 @@ def _json_pieces(x, ind, out, memo):
 
 
 def _emit(config, payload):
-    _write_output(config, _json_text(payload, "\n"))
+    with _output(config) as fh:
+        _json_write(payload, fh.write, "\n")
 
 
 # ----------------------------------------------------------------------------
@@ -371,11 +398,12 @@ def _aut_payload(config):
                 "is_full_field": ts.is_full_field,
             },
         },
-        "triples": [t.serialize(gf) for t in report["triples"]],
-        "verdicts": [
+        # rendered lazily, one entry at a time, as the writer streams them
+        "triples": (t.serialize(gf) for t in report["triples"]),
+        "verdicts": (
             {"n_side_monomial": v["n_side_monomial"], "u": v["u"],
              **{key: None if v.get(key) is None else gf.coords(v[key]) for key in ("a", "m_side_scalar")}}
-            for v in report["verdicts"]],
+            for v in report["verdicts"]),
     })
     return payload
 
@@ -432,11 +460,10 @@ def cmd_sweep(config) -> int:
         except RankMetricError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    _write_output(config, buf.getvalue())
+    with _output(config) as fh:
+        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     return 0
 
 
@@ -616,12 +643,16 @@ def run_selfcheck() -> int:
 
     def json_writer():
         aut = _aut_payload({"field": {"p": 2, "e": 2, "n": 2}, "params": {"m": 2, "k": 1, "s": 1, "h": 1}})
-        aut.update(triples=aut["triples"][:100], verdicts=aut["verdicts"][:100])  # of 900: keeps json.dumps quick
+        listed = dict(aut, triples=list(aut["triples"]), verdicts=list(aut["verdicts"]))
+        streamed = dict(listed, triples=(t for t in listed["triples"]), verdicts=(v for v in listed["verdicts"]))
         edges = [{}, [], (), {"a": [{}, ()]}, None, True, False, 0.1, aut["summary"]["monomial_fraction"],
                  "\u00e9\u2603", "tab\t \"q\" \\ \x01", (1, 2), [(1, 2)], [(1,), (True,), (1.0,)]]
-        assert _json_text([aut, edges]) == json.JSONEncoder(indent=2, sort_keys=True).encode([aut, edges])
-    _check("JSON writer matches json.dumps(indent=2, sort_keys=True) on an F_4 aut payload and edge values",
-           json_writer, failures)
+        chunks = []
+        _json_write([streamed, edges], chunks.append)
+        assert len(chunks) > 1, len(chunks)  # 900 triples and verdicts: several flushes
+        assert "".join(chunks) == json.JSONEncoder(indent=2, sort_keys=True).encode([listed, edges])
+    _check("streamed JSON writer matches json.dumps(indent=2, sort_keys=True) across its chunks "
+           "on an F_4 aut payload and edge values", json_writer, failures)
 
     if failures:
         print(f"{len(failures)} selfcheck item(s) failed")

@@ -136,13 +136,20 @@ def poly_is_irreducible(f, p) -> bool:
     return True
 
 
+def _lex_digits(p, d, first=0):
+    """The lists ``itertools.product(range(first, p), *[range(p)] * (d - 1))``
+    gives, in its order, read lazily off a counter's base-p digits: the
+    product would first copy each range(p) into a tuple of p ints."""
+    for t in range(first * p ** (d - 1), p ** d):
+        yield [t // p ** i % p for i in reversed(range(d))]
+
+
 def _lex_smallest_irreducible(p, d):
     """Smallest monic irreducible of degree d, constant-first lex order.
     For d >= 2 a zero constant term means x divides f, so those
     candidates are skipped without a test."""
-    constants = range(1 if d >= 2 else 0, p)
-    for tail in itertools.product(constants, *[range(p)] * (d - 1)):
-        f = list(tail) + [1]
+    for tail in _lex_digits(p, d, 1 if d >= 2 else 0):
+        f = tail + [1]
         if poly_is_irreducible(f, p):
             return f
     raise AssertionError("no irreducible polynomial found")  # unreachable
@@ -347,7 +354,7 @@ class FieldSpec:
 
     def _find_generator(self) -> int:
         target = self.order - 1
-        for tail in itertools.product(range(self.p), repeat=self.degree):
+        for tail in _lex_digits(self.p, self.degree):
             a = self.from_coords(tail)
             if a == 0:
                 continue

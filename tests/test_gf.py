@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -445,3 +446,22 @@ DEFAULT_FIELDS = {
 def test_default_modulus_and_generator_are_pinned(pen):
     gf = field_create(*pen)
     assert (gf.modulus, gf.generator) == DEFAULT_FIELDS[pen]
+
+
+@pytest.mark.parametrize("p, d, first", [(2, 1, 0), (2, 4, 1), (3, 3, 0), (5, 2, 1), (7, 1, 0)])
+def test_lex_digits_walks_the_product_order(p, d, first):
+    want = [list(t) for t in itertools.product(range(first, p), *[range(p)] * (d - 1))]
+    assert list(gf_module._lex_digits(p, d, first)) == want
+
+
+def test_large_prime_field_builds_no_candidate_table():
+    # the modulus and generator searches of F_p walk their candidates
+    # lazily; copying range(p) would take about 38 MB here
+    tracemalloc.start()
+    try:
+        gf = field_create(1000003, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (gf.modulus, gf.generator) == ((0, 1), 2)
+    assert peak < 1 << 20, peak

@@ -1,7 +1,8 @@
 """What importing the package and the CLI does to a fresh interpreter:
 ``import rankmetric`` is lazy (no submodule, no numpy, no environment
-change), and ``import rankmetric.cli`` runs numpy with one OpenBLAS
-thread unless the caller chose a count."""
+change), ``import rankmetric.cli`` runs numpy with one OpenBLAS thread
+unless the caller chose a count, and the CLI's 2.75 MB ``aut`` output
+adds little to the process's peak memory."""
 
 import json
 import os
@@ -87,3 +88,28 @@ def test_star_import_resolves_every_export():
     assert rankmetric.field_create is rankmetric.gf.field_create
     with pytest.raises(AttributeError):
         rankmetric.no_such_name
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status to read VmHWM from")
+def test_aut_output_streams_without_a_copy_of_the_group():
+    # the F_{7^3}, m = 2 group: 6,156 triples and verdicts, 2.75 MB of JSON.
+    # Holding the serialized group and its text grew the peak by about
+    # 16 MB; the streamed output by about 4 MB.  The peak is VmHWM, which
+    # starts afresh at exec: ru_maxrss keeps the launching process's peak.
+    out = _child("""
+import json, os, sys
+import rankmetric.cli as cli
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+before = peak_kb()
+stdout = sys.stdout
+with open(os.devnull, "w") as sys.stdout:
+    code = cli.main("aut --p 7 --e 1 --n 3 --m 2 --k 1 --s 1 --h 1 --eta nonsquare-min --subspace generic:1".split())
+sys.stdout = stdout
+print(json.dumps({"code": code, "growth_kb": peak_kb() - before}))
+""")
+    assert out["code"] == 0
+    assert out["growth_kb"] < 10 * 1024, out
