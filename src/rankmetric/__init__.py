@@ -18,7 +18,7 @@ _EXPORTS = {
     "errors": (
         "AnsatzMismatchError", "DependentBasisError", "DependentSetError", "DimensionCollapseError",
         "EnumerationGuardError", "FieldTooLargeError", "GcdViolationError", "HypothesisNotMetError",
-        "NonPrimeError", "NormConditionError", "NotADivisorError", "NotSquareError", "OneNotInSError",
+        "NonPrimeError", "NormConditionError", "NotADivisorError", "OneNotInSError",
         "ParamError", "RankMetricError", "ReducibleModulusError", "ShapeMismatchError",
         "SingularMatrixError", "SpecMismatchError",
     ),

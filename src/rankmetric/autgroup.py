@@ -251,7 +251,8 @@ def generate_known_automorphisms(params: CodeParams, S: SubspaceSpec, code: Rank
     mside = []
     for w in range(n):
         frob_alphas = [gf.frobenius(al, w) for al in S.alphas]
-        for a in range(1, gf.order):
+        inv1 = gf.inv(frob_alphas[0])  # a alpha_1^(q^w) = u in U_S, u != 0
+        for a in (gf.mul(u, inv1) for u in S.subspace() if u):
             rows = tuple(S.alpha_coords(gf.mul(a, fa)) for fa in frob_alphas)
             if None not in rows:
                 mside.append(rows)

@@ -626,15 +626,16 @@ def run_selfcheck() -> int:
     _check("stacked F_q kernel agrees with generic_rref on packed F_2, F_4 and F_9", stacked_kernel, failures)
 
     def histogram_paths():
-        from .rankcode import RankCode, _hist_by_codewords, _hist_by_subspaces, _small_side
+        import numpy as np
+        from .rankcode import RankCode, _hist_by_codewords, _hist_by_subspaces
         f2_code = project_code(build_gtg(CodeParams(f64, 5, 2, 1, 1, 0)),
                                subspace_poly(f64, [f64.pow(f64.generator, i) for i in range(5)]))
         f729 = field_create(3, 2, 3)
         hrng = random.Random(20240409)
         mats = [[[hrng.choice(f729.fq_list()) for _ in range(3)] for _ in range(3)] for _ in range(4)]
         mats[0] = [mats[0][0], mats[0][0], [0, 0, 0]]  # a rank-1 word
-        for code in (f2_code, RankCode(f729, 3, mats)):
-            basis = _small_side(code)
+        for code in (f2_code, RankCode(f729, 3, mats)):  # both m <= n
+            basis = np.array(code.basis, dtype=np.int64)
             hist = _hist_by_codewords(code.gf, basis)
             assert _hist_by_subspaces(code.gf, basis) == hist, (code, hist)
             assert sum(hist) == code.cardinality

@@ -71,10 +71,6 @@ class SingularMatrixError(RankMetricError):
     """An equivalence map was given a singular A or B."""
 
 
-class NotSquareError(RankMetricError):
-    """Adjoint requested for a non-square code."""
-
-
 class HypothesisNotMetError(RankMetricError):
     """A closed-form prediction was requested outside its hypotheses."""
 

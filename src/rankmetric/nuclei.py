@@ -5,10 +5,12 @@ The middle nucleus of a linear code C in F_q^(m x n) is
 {Y in F_q^(n x n) : C Y in C for all C}; both are F_q-algebras whose
 orders are equivalence invariants (elsewhere: left/right idealisers).
 
-Brute force never enumerates codewords: "Z B_t in code" is linear in
-the entries of Z once membership is expressed through a basis of the
-dual space, so each nucleus is the nullspace of a stacked constraint
-system (nk (mn - nk) rows, m^2 or n^2 unknowns).
+Brute force never enumerates codewords: "B_t Y in code" is linear in
+the entries of Y once membership is expressed through a basis of the
+dual space, so the right nucleus is the nullspace of a stacked
+constraint system (nk (mn - nk) rows, n^2 unknowns); the middle nucleus
+is the transposed right nucleus of the transpose code (Lunardon,
+Trombetti and Zhou, J. Algebr. Comb. 46, 2017).
 
 The closed forms, valid under hypothesis flags computed by
 ``hypothesis_check``:
@@ -49,6 +51,7 @@ from .linpoly import (
 from .rankcode import (
     CodeParams,
     RankCode,
+    adjoint,
     build_gtg,
     mat_identity,
     mat_vec,
@@ -317,15 +320,15 @@ class NucleusReport:
 
 
 def middle_nucleus_bruteforce(code: RankCode) -> NucleusReport:
-    """{Z : Z X in the code for every X}: Z pairs to zero with H X^T for
-    every basis X and dual row H (unknown Z (i, l) has the coefficient
-    sum_j H[i, j] X[l, j])."""
-    gf, m, n, dim = code.gf, code.m, code.n, code.dim
-    f = _linalg.fq_arith(gf)
-    hr = f.index(code.parity_rows()).reshape(-1, m, n)
-    bs = f.index(np.reshape(code.basis, (dim, m, n)))
-    block = f.matmul(hr, np.swapaxes(bs, 1, 2)[:, None]).reshape(dim * len(hr), m * m)
-    return _report("middle", gf, _linalg.modp_nullspace(block, f), m)
+    """{Z : Z X in the code for every X} = {Y^T : Y in the right nucleus
+    of ``adjoint(code)``}.  The canonical basis in Z's entry order (unit
+    vectors on the last information set) is one RREF of the Y^T with
+    their columns reversed, read back reversed."""
+    gf, m = code.gf, code.m
+    [(_, ys)] = adjoint(code).right_stabilizers([mat_identity(gf, code.n)])
+    zs = np.swapaxes(np.reshape(ys, (-1, m, m)), 1, 2).reshape(-1, m * m)
+    rref, _ = _linalg.modp_rref(zs[:, ::-1], _linalg.fq_arith(gf))
+    return _report("middle", gf, rref[::-1, ::-1], m)
 
 
 def right_nucleus_bruteforce(code: RankCode) -> NucleusReport:

@@ -18,7 +18,7 @@ is MRD with minimum distance m - k + 1.
 
 MRD certificates and minimum distances read the rank-weight histogram
 A_0, ..., A_min(m,n).  It has two exact paths, on the smaller side
-(the basis is transposed when n < m): ranking all q^dim codewords as
+(the basis of ``adjoint`` when n < m): ranking all q^dim codewords as
 stacks, or counting codewords by column space, the identity behind the
 rank-metric MacWilliams identities (Delsarte, "Bilinear forms over a
 finite field", JCTA 25, 1978; Ravagnani, "Rank-metric codes and their
@@ -49,7 +49,6 @@ from .errors import (
     DimensionCollapseError,
     EnumerationGuardError,
     NormConditionError,
-    NotSquareError,
     ParamError,
     ShapeMismatchError,
     SingularMatrixError,
@@ -180,12 +179,12 @@ def build_gtg(params: CodeParams) -> GtgGenerators:
 # ----------------------------------------------------------------------------
 
 class RankCode:
-    """F_q-linear subspace of F_q^(m x n) given by an independent basis."""
+    """F_q-linear subspace of F_q^(m x n), n = gf.n by default, given by an independent basis."""
 
-    def __init__(self, gf, m, basis, provenance=None):
+    def __init__(self, gf, m, basis, provenance=None, n=None):
         self.gf = gf
         self.m = m
-        self.n = gf.n
+        self.n = gf.n if n is None else n
         self.basis = tuple(tuple(tuple(row) for row in mat) for mat in basis)
         for mat in self.basis:
             if len(mat) != m or any(len(row) != self.n for row in mat):
@@ -310,23 +309,17 @@ def rank_weight_distribution(code: RankCode, guard=ENUM_GUARD) -> list:
 
     Two exact paths give the same list; the one with the smaller
     ``_work`` count for (q, m, n, dim) runs.  Both work on the smaller
-    side: the basis is transposed when n < m, which keeps every rank.
+    side, ``adjoint(code)`` when n < m, which keeps every rank.
     ``_hist_by_codewords`` ranks the q^dim codewords as stacks;
     ``_hist_by_subspaces`` ranks one map per subspace of F_q^min(m, n).
     The guard bounds q^dim whichever path runs."""
     if code.cardinality > guard:
         raise EnumerationGuardError(
             f"q^dim = {code.cardinality} exceeds guard {guard}")
-    basis = _small_side(code)
-    cw, sub = _work(code.gf.q, *basis.shape[1:], code.dim)
+    small = adjoint(code) if code.n < code.m else code
+    basis = np.array(small.basis, dtype=np.int64).reshape(small.dim, small.m, small.n)
+    cw, sub = _work(code.gf.q, small.m, small.n, code.dim)
     return _hist_by_subspaces(code.gf, basis) if sub < cw else _hist_by_codewords(code.gf, basis)
-
-
-def _small_side(code: RankCode):
-    """The basis as an index array (dim, min(m, n), max(m, n)); transposed
-    when n < m."""
-    basis = np.array(code.basis, dtype=np.int64).reshape(code.dim, code.m, code.n)
-    return basis.swapaxes(1, 2) if code.n < code.m else basis
 
 
 def _packs(q, width):
@@ -472,11 +465,13 @@ def apply_equivalence(code: RankCode, A, B, C=None, gamma: int = 0) -> RankCode:
         raise ParamError("nonzero C breaks linearity; only C = 0 is supported")
     gamma %= gf.e
     return RankCode(gf, code.m, [mat_mul(gf, mat_mul(gf, A, mat_frobenius_p(gf, X, gamma)), B)
-                                 for X in code.basis])
+                                 for X in code.basis], n=code.n)
 
 
 def adjoint(code: RankCode) -> RankCode:
-    """Transpose code; defined for square codes only."""
-    if code.m != code.n:
-        raise NotSquareError(f"adjoint needs m = n, got {code.m} x {code.n}")
-    return RankCode(code.gf, code.m, [mat_transpose(b) for b in code.basis])
+    """The transpose code in F_q^(n x m); the dual pairing is entrywise,
+    so its parity rows are the transposed parity rows of the code."""
+    m, n = code.m, code.n
+    out = RankCode(code.gf, n, [mat_transpose(b) for b in code.basis], n=m)
+    out._parity = [mat_vec(mat_transpose(vec_mat(h, m, n))) for h in code.parity_rows()]
+    return out

@@ -1,6 +1,7 @@
 """Output bytes against the benchmark's recorded digests: a few ops of
-``bench/workloads.py``'s ``choice_space`` (one sweep, one construct, one
-nuclei, one aut over F_4 and the largest aut output, over F_7) run
+``bench/workloads.py``'s ``choice_space`` (sweeps over F_2, F_3 and F_4,
+one construct, one nuclei, one aut over F_4 and the largest aut output,
+over F_7) run
 in-process, and each exit code and stdout SHA-256 must equal its entry
 in ``bench/expected.json``.  A change that moves output bytes then fails
 here as well as in the benchmark.  The bench files are only read, never
@@ -30,13 +31,15 @@ def _workloads():
 WORKLOADS = _workloads()
 EXPECTED = json.loads((BENCH / "expected.json").read_text(encoding="utf-8"))
 
-# (workload, op id): the first choice of the slot; census-01 is a sweep
-# over F_3, field-scale-03 a construct over F_17, field-scale-05 nuclei
-# over F_(2^10), aut-exhaustive-05 an aut over F_(4^3), and
-# aut-exhaustive-03 an aut over F_(7^3), the largest output (2.75 MB)
-OPS = [("census", "census-01"), ("field-scale", "field-scale-03"),
-       ("field-scale", "field-scale-05"), ("aut-exhaustive", "aut-exhaustive-05"),
-       ("aut-exhaustive", "aut-exhaustive-03")]
+# (workload, op id): the first choice of the slot; census-00, -01 and -03
+# are sweeps over F_2 (m up to 5, the middle systems packed into
+# ``BitField`` words), F_3 and F_4 (``TableField``), field-scale-03 a
+# construct over F_17, field-scale-05 nuclei over F_(2^10),
+# aut-exhaustive-05 an aut over F_(4^3), and aut-exhaustive-03 an aut
+# over F_(7^3), the largest output (2.75 MB)
+OPS = [("census", "census-00"), ("census", "census-01"), ("census", "census-03"),
+       ("field-scale", "field-scale-03"), ("field-scale", "field-scale-05"),
+       ("aut-exhaustive", "aut-exhaustive-05"), ("aut-exhaustive", "aut-exhaustive-03")]
 
 
 @pytest.mark.parametrize("workload, op_id", OPS, ids=[op_id for _, op_id in OPS])

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -35,7 +36,9 @@ from rankmetric.rankcode import (
     mat_mul,
     mat_rank,
     mat_scale,
+    mat_vec,
     project_code,
+    vec_mat,
 )
 
 
@@ -483,6 +486,63 @@ def test_zero_code_nuclei_are_the_full_matrix_algebras(pen):
     rig = right_nucleus_bruteforce(code)
     assert mid.bruteforce_order == gf.q ** (m * m)
     assert rig.bruteforce_order == gf.q ** (n * n)
+
+
+def _random_nucleus_test_code(gf, m, rng, side):
+    """A random code in F_q^(m x n); with ``side`` it is spanned by
+    P^i X_j (middle) or X_j P^i (right) for a random square P and random
+    X_j, so that nucleus holds F_q[P] and is larger than the scalars."""
+    n, fq = gf.n, gf.fq_list()
+
+    def rand(rows, cols):
+        return tuple(tuple(rng.choice(fq) for _ in range(cols)) for _ in range(rows))
+
+    xs = [rand(m, n) for _ in range(rng.randint(1, m * n - 1))]
+    if side is not None:
+        p_mat = rand(m, m) if side == "middle" else rand(n, n)
+        xs = xs[:rng.randint(1, 2)]
+        for _ in range(max(m, n)):
+            xs += [mat_mul(gf, p_mat, x) if side == "middle" else mat_mul(gf, x, p_mat) for x in xs]
+    rref, pivots = fq_rref([list(mat_vec(x)) for x in xs], gf)
+    return RankCode(gf, m, [vec_mat(row, m, n) for row in rref[:len(pivots)]])
+
+
+def _nucleus_by_enumeration(code, side):
+    """Every Z in M_m(F_q) (middle) or Y in M_n(F_q) (right) that keeps
+    each basis matrix inside the code."""
+    gf = code.gf
+    size = code.m if side == "middle" else code.n
+    out = set()
+    for entries in itertools.product(gf.fq_list(), repeat=size * size):
+        z = vec_mat(entries, size, size)
+        if all(code.contains(mat_mul(gf, z, x) if side == "middle" else mat_mul(gf, x, z))
+               for x in code.basis):
+            out.add(z)
+    return out
+
+
+# (side, p, e, n, m): m < n and m = n over F_2, F_3 and F_4, with the
+# unknown matrices (m x m middle, n x n right) at most 2^9 in number
+NUCLEUS_CELLS = [("middle", 2, 1, 3, 2), ("middle", 2, 1, 4, 3), ("middle", 2, 1, 3, 3),
+                 ("middle", 3, 1, 3, 2), ("middle", 3, 1, 2, 2), ("middle", 2, 2, 3, 2),
+                 ("middle", 2, 2, 2, 2), ("right", 2, 1, 3, 2), ("right", 2, 1, 3, 3),
+                 ("right", 3, 1, 2, 1), ("right", 3, 1, 2, 2), ("right", 2, 2, 2, 1),
+                 ("right", 2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("side, p, e, n, m", NUCLEUS_CELLS,
+                         ids=[f"{side}-q{p ** e}-m{m}-n{n}" for side, p, e, n, m in NUCLEUS_CELLS])
+def test_nucleus_is_every_matrix_found_by_enumeration(side, p, e, n, m):
+    gf = field_create(p, e, n)
+    brute = middle_nucleus_bruteforce if side == "middle" else right_nucleus_bruteforce
+    rng = random.Random(f"{side}-{p}-{e}-{n}-{m}")
+    orders = set()
+    for closed in (None, None, side, side):
+        code = _random_nucleus_test_code(gf, m, rng, closed)
+        report = brute(code)
+        assert span_matrices(gf, report.bruteforce_basis) == _nucleus_by_enumeration(code, side)
+        orders.add(report.bruteforce_order)
+    assert len(orders) > 1  # not only the scalars
 
 
 def _field_structure_by_enumeration(basis, gf):

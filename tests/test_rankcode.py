@@ -1,12 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
+from rankmetric._linalg import fq_rank
 from rankmetric.errors import (
     DimensionCollapseError,
     EnumerationGuardError,
     NormConditionError,
-    NotSquareError,
     ParamError,
     ShapeMismatchError,
     SingularMatrixError,
@@ -18,6 +19,7 @@ from rankmetric.rankcode import (
     adjoint,
     apply_equivalence,
     build_gtg,
+    gaussian_binomial,
     is_mrd,
     mat_identity,
     mat_rank,
@@ -25,6 +27,7 @@ from rankmetric.rankcode import (
     project_code,
     rank_distance,
     rank_weight_distribution,
+    vec_mat,
 )
 
 
@@ -264,11 +267,17 @@ def test_adjoint_of_symmetric_code(f16):
     assert set(adjoint(code).basis) == {sym}
 
 
-def test_adjoint_needs_square(f81):
+def test_adjoint_of_a_non_square_code(f81):
     S = generic_subspace(f81, 3)
     code = project_code(build_gtg(CodeParams(f81, 3, 1, 1, 0, 0)), S)
-    with pytest.raises(NotSquareError):
-        adjoint(code)
+    t = adjoint(code)
+    assert (t.m, t.n, t.dim) == (4, 3, code.dim)
+    assert adjoint(t).basis == code.basis
+    assert rank_weight_distribution(t) == rank_weight_distribution(code)
+    assert min_distance(t) == min_distance(code)
+    # the transposed parity rows span the dual that a fresh solve gives
+    fresh = RankCode(f81, 4, t.basis, n=3).parity_rows()
+    assert fq_rank(t.parity_rows(), f81) == fq_rank(fresh, f81) == fq_rank(t.parity_rows() + fresh, f81)
 
 
 def test_serialization_shape(f81):
@@ -346,8 +355,9 @@ def _generic_histogram(code):
 
 
 def _both_paths(code):
-    from rankmetric.rankcode import _hist_by_codewords, _hist_by_subspaces, _small_side
-    basis = _small_side(code)
+    from rankmetric.rankcode import _hist_by_codewords, _hist_by_subspaces
+    small = adjoint(code) if code.n < code.m else code
+    basis = np.array(small.basis, dtype=np.int64).reshape(small.dim, small.m, small.n)
     return _hist_by_codewords(code.gf, basis), _hist_by_subspaces(code.gf, basis)
 
 
@@ -429,3 +439,35 @@ def test_guard_fires_first_where_the_subspace_path_is_cheap():
     with pytest.raises(EnumerationGuardError):
         is_mrd(code, guard=code.cardinality - 1)
     assert sum(rank_weight_distribution(code, guard=code.cardinality)) == code.cardinality
+
+
+# (p, e, n, m): q <= 5 and m <= n; one random code for every dimension
+# with q^dim and q^(mn - dim) both within 2^16
+MACWILLIAMS_CELLS = [(2, 1, 3, 2), (2, 1, 4, 3), (2, 1, 4, 4), (2, 1, 5, 3), (3, 1, 3, 2),
+                     (3, 1, 3, 3), (2, 2, 2, 2), (2, 2, 3, 2), (5, 1, 2, 2), (5, 1, 3, 2)]
+
+
+def _column_space_counts(code):
+    """B_v = sum_i A_i [m-i choose v-i]_q, v = 0..m: the codewords counted
+    once per v-dimensional subspace of F_q^m holding their column space."""
+    m, q, hist = code.m, code.gf.q, rank_weight_distribution(code)
+    return [sum(a * gaussian_binomial(m - i, v - i, q) for i, a in enumerate(hist[:v + 1]))
+            for v in range(m + 1)]
+
+
+@pytest.mark.parametrize("p, e, n, m", MACWILLIAMS_CELLS,
+                         ids=[f"q{p ** e}-m{m}-n{n}" for p, e, n, m in MACWILLIAMS_CELLS])
+def test_rank_metric_macwilliams_identity(p, e, n, m):
+    # the dual under the entrywise pairing satisfies
+    # B^perp_(m-v) q^(nv) = |C^perp| B_v (Delsarte 1978; Ravagnani 2016)
+    from rankmetric.gf import field_create
+    gf = field_create(p, e, n)
+    q = gf.q
+    dims = [d for d in range(m * n + 1) if q ** d <= 1 << 16 and q ** (m * n - d) <= 1 << 16]
+    for dim in dims:
+        code = _random_code(gf, m, dim, seed=1000 * q + 100 * n + 10 * m + dim)
+        dual = RankCode(gf, m, [vec_mat(h, m, n) for h in code.parity_rows()])
+        assert code.dim + dual.dim == m * n
+        bc, bd = _column_space_counts(code), _column_space_counts(dual)
+        for v in range(m + 1):
+            assert bd[m - v] * q ** (n * v) == dual.cardinality * bc[v], (dim, v)

@@ -22,7 +22,7 @@ EXPORTS = [
     "AnsatzMismatchError", "AutTriple", "CodeParams", "DependentBasisError", "DependentSetError",
     "DimensionCollapseError", "EnumerationGuardError", "FieldSpec", "FieldTooLargeError",
     "GcdViolationError", "GtgGenerators", "HypothesisNotMetError", "LinearizedPoly", "NonPrimeError",
-    "NormConditionError", "NotADivisorError", "NotSquareError", "NucleusReport", "OneNotInSError",
+    "NormConditionError", "NotADivisorError", "NucleusReport", "OneNotInSError",
     "ParamError", "RankCode", "RankMetricError", "ReducibleModulusError", "ShapeMismatchError",
     "SingularMatrixError", "SpecMismatchError", "SubspaceSpec", "ThetaSet", "adjoint",
     "apply_equivalence", "aut_bruteforce", "aut_report", "autgroup", "build_gtg", "check_monomial_form",
