@@ -55,5 +55,5 @@ t0 = time.time()
 rep2 = aut_report(code2, params2, S2)
 print(f"twisted h=2: |Aut| = {rep2['order']} ({time.time() - t0:.1f}s), "
       f"monomial fraction {rep2['monomial_fraction']}")
-sample = rep2["verdicts"][0]
+sample = list(rep2["verdicts"])[0]  # verdicts are streamed: list() to index them
 print("sample verdict:", sample)

@@ -39,7 +39,7 @@ from .errors import SingularMatrixError
 __all__ = [
     "digit_sum", "STACK_BUDGET", "chunk_len", "stack_chunks", "PrimeField", "TableField", "BitField", "fq_arith",
     "modp_rref", "modp_rank", "modp_nullspace", "modp_dual", "modp_inv", "modp_reduction",
-    "modp_span",
+    "modp_span", "span_digits",
     "generic_rref", "generic_rank", "generic_nullspace", "generic_inv",
     "fq_rref", "fq_rank", "fq_inv", "fq_in_span", "fq_span",
 ]
@@ -380,13 +380,19 @@ def modp_span(basis, p):
     that stay under STACK_BUDGET entries."""
     f = _field(p)
     basis = np.asarray(basis, dtype=np.int64)
-    k, width = basis.shape
-    q = f.q
+    for digits in span_digits(len(basis), f.q, basis.shape[1]):
+        yield f.matmul(digits, basis)
+
+
+def span_digits(k, q, width):
+    """The base-q digits of t = 0, ..., q^k - 1, digit i of t in column i,
+    as chunks of rows, each chunk sized so that as many rows of ``width``
+    entries stay under STACK_BUDGET: ``modp_span``'s coefficients."""
     powers = q ** np.arange(k, dtype=np.int64)
     step = chunk_len(width)
     for start in range(0, q ** k, step):
         t = np.arange(start, min(start + step, q ** k), dtype=np.int64)
-        yield f.matmul(t[:, None] // powers % q, basis)
+        yield t[:, None] // powers % q
 
 
 # ----------------------------------------------------------------------------

@@ -49,16 +49,24 @@ GL_GUARD_NORMALIZER = 1 << 26
 # triples
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AutTriple:
     A: tuple
     B: tuple
     rho: int
 
-    def serialize(self, gf):
-        """A and B as tuples of rows of ``gf.fq_json`` entries."""
-        A, B = (tuple(tuple(map(gf.fq_json, row)) for row in mat) for mat in (self.A, self.B))
-        return {"A": A, "B": B, "rho": self.rho}
+    def serialize(self, gf, memo=None):
+        """A and B as tuples of rows of ``gf.fq_json`` entries: the matrices
+        themselves when q is prime (their entries are the ints already),
+        else one rendering per distinct matrix, kept in ``memo`` (a dict a
+        caller shares across the triples of a group)."""
+        if gf.e == 1:
+            return {"A": self.A, "B": self.B, "rho": self.rho}
+        memo = {} if memo is None else memo
+        for mat in (self.A, self.B):
+            if mat not in memo:
+                memo[mat] = tuple(tuple(map(gf.fq_json, row)) for row in mat)
+        return {"A": memo[self.A], "B": memo[self.B], "rho": self.rho}
 
 
 def aut_identity(gf, m, n) -> AutTriple:
@@ -94,10 +102,11 @@ def gl_order(q: int, n: int) -> int:
 
 
 def enumerate_gl(gf, n: int, guard: int = GL_GUARD_NORMALIZER):
-    """All of GL(n, q) in lexicographic row-major entry order: the
-    invertible members of the span of the n^2 unit matrices, the last
-    entry's unit first so that it varies fastest.  The list is cached on
-    the field spec when it has at most 2^18 elements."""
+    """All of GL(n, q) in lexicographic row-major entry order: candidate
+    t = 0, 1, ..., q^(n^2) - 1 holds the base-q digits of t as entry
+    indices, the last entry's digit fastest, and the invertible ones are
+    kept.  The list is cached on the field spec when it has at most 2^18
+    elements."""
     size = gl_order(gf.q, n)
     if size > guard:
         raise EnumerationGuardError(f"|GL({n},{gf.q})| = {size} exceeds guard {guard}")
@@ -106,22 +115,28 @@ def enumerate_gl(gf, n: int, guard: int = GL_GUARD_NORMALIZER):
         yield from gf._misc_cache[key]
         return
     collect = [] if size <= GL_GUARD_AUT else None
-    for mat in _invertible_span(gf, np.eye(n * n, dtype=np.int64)[::-1], n):
-        if collect is not None:
-            collect.append(mat)
-        yield mat
+    f = _linalg.fq_arith(gf)
+    for digits in _linalg.span_digits(n * n, gf.q, n * n):
+        for mat in _invertibles(f, digits[:, ::-1].reshape(-1, n, n)):
+            if collect is not None:
+                collect.append(mat)
+            yield mat
     if collect is not None:
         gf._misc_cache[key] = tuple(collect)
 
 
 def _invertible_span(gf, basis, n):
     """The invertible n x n matrices in the F_q-span of the vectorized
-    index basis, packed, lazily and in ``modp_span`` order; ranked as
-    stacks."""
+    index basis, packed, lazily and in ``modp_span`` order."""
     f = _linalg.fq_arith(gf)
     for words in _linalg.modp_span(basis, f):
-        mats = words.reshape(-1, n, n)
-        yield from (tuple(map(tuple, b)) for b in f.packed(mats[_linalg.modp_rank(mats, f) == n]).tolist())
+        yield from _invertibles(f, words.reshape(-1, n, n))
+
+
+def _invertibles(f, mats):
+    """The invertible matrices of a stack of index matrices, packed, ranked as one stack."""
+    n = mats.shape[-1]
+    return (tuple(map(tuple, b)) for b in f.packed(mats[_linalg.modp_rank(mats, f) == n]).tolist())
 
 
 # ----------------------------------------------------------------------------
@@ -279,7 +294,14 @@ def generate_known_automorphisms(params: CodeParams, S: SubspaceSpec, code: Rank
 def aut_report(code: RankCode, params: CodeParams = None, S: SubspaceSpec = None,
                gl_guard: int = GL_GUARD_AUT) -> dict:
     """Brute-force group plus Theta predicates and per-triple monomial
-    verdicts on the n-side (and the twisted-scalar check on the m-side)."""
+    verdicts on the n-side (and the twisted-scalar check on the m-side).
+
+    ``verdicts`` is a generator over the triples, in order: one dict
+    {"n_side_monomial", "a", "u"}, plus "m_side_scalar" when the n-side
+    is monomial, made as it is read (call ``list`` to index it).  The
+    group is the only per-triple data held: one monomial form per
+    distinct B, which ``monomial_fraction`` is counted from, and the
+    scalars of one A at a time."""
     gf = code.gf
     triples = aut_bruteforce(code, gl_guard)
     report = {"order": len(triples), "triples": triples}
@@ -297,19 +319,27 @@ def aut_report(code: RankCode, params: CodeParams = None, S: SubspaceSpec = None
         ts = None
         report["theta"] = None
         report["ansatz_mismatch"] = True
-    verdicts = []
     forms = {}  # B -> its monomial form; many triples share their B
     for t in triples:
         if t.B not in forms:
             forms[t.B] = check_monomial_form(matrix_to_poly(gf, t.B), ell)
+    report["verdicts"] = _verdicts(triples, forms, S)
+    report["monomial_fraction"] = sum(forms[t.B][0] for t in triples) / len(triples) if triples else None
+    return report
+
+
+def _verdicts(triples, forms, S):
+    """The verdict of each triple, in order (see ``aut_report``).  The
+    triples of one A are adjacent, so its scalars are kept per u only
+    until the next A."""
+    scalars, last = {}, None
+    for t in triples:
         mono, a, u = forms[t.B]
         entry = {"n_side_monomial": mono, "a": a, "u": u}
         if mono:
-            entry["m_side_scalar"] = mside_twisted_scalar(t.A, S, u)
-        verdicts.append(entry)
-    report["verdicts"] = verdicts
-    if triples:
-        report["monomial_fraction"] = sum(1 for v in verdicts if v["n_side_monomial"]) / len(triples)
-    else:
-        report["monomial_fraction"] = None
-    return report
+            if t.A is not last:
+                scalars, last = {}, t.A
+            if u not in scalars:
+                scalars[u] = mside_twisted_scalar(t.A, S, u)
+            entry["m_side_scalar"] = scalars[u]
+        yield entry

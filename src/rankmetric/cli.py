@@ -387,6 +387,7 @@ def _aut_payload(config):
     guards, gf, params, S, code, payload = _instance(config)
     report = autgroup.aut_report(code, params, S, gl_guard=guards["max_gl"])
     ts = report.get("theta")
+    matrices = {}  # each distinct A and B serialized once
     payload.update({
         "summary": {
             "order": report["order"],
@@ -399,7 +400,7 @@ def _aut_payload(config):
             },
         },
         # rendered lazily, one entry at a time, as the writer streams them
-        "triples": (t.serialize(gf) for t in report["triples"]),
+        "triples": (t.serialize(gf, matrices) for t in report["triples"]),
         "verdicts": (
             {"n_side_monomial": v["n_side_monomial"], "u": v["u"],
              **{key: None if v.get(key) is None else gf.coords(v[key]) for key in ("a", "m_side_scalar")}}

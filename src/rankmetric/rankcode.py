@@ -222,18 +222,27 @@ class RankCode:
         each m x m matrix A of ``lefts``, in order, skipping every A whose
         space is zero.  B pairs to zero with (A X^rho)^T H for every basis
         X and dual row H, one row per (X, H), X-major; the systems of a
-        chunk of A are built and solved as one stack under STACK_BUDGET,
-        over F_2 with each row packed into one ``BitField`` word.
+        chunk of A are built and solved as one stack under STACK_BUDGET.
+        Over F_2 each row is built as one ``BitField`` word, bit j n + k
+        holding entry (j, k): the (A X^rho)^T entries times the parity
+        words, whose row (j, i) is row i of H as a word shifted by j n,
+        so a chunk is sized by its m n dim entries per A.
         A = I, rho = 0 gives the right nucleus."""
         f, m, n, dim = _linalg.fq_arith(self.gf), self.m, self.n, self.dim
-        kernel = _linalg.BitField(n * n) if _packs(self.gf.q, n * n) else f
         xs = f.index(np.reshape([mat_frobenius_p(self.gf, x, rho) for x in self.basis], (dim, m, n)))
         hr = f.index(self.parity_rows()).reshape(-1, m, n)
-        for chunk in _linalg.stack_chunks(lefts, dim * len(hr) * n * n):
+        nh = len(hr)
+        if _packs(self.gf.q, n * n):
+            kernel, per_a = _linalg.BitField(n * n), dim * m * n
+            hw = (_linalg.BitField(n).index(hr)[..., 0].T << n * np.arange(n)[:, None, None]).reshape(n * m, nh)
+        else:
+            kernel, per_a = f, dim * nh * n * n
+        for chunk in _linalg.stack_chunks(lefts, per_a):
             axt = np.swapaxes(f.matmul(f.index(chunk)[:, None], xs), -1, -2)
-            systems = f.matmul(axt[:, :, None], hr).reshape(len(chunk), dim * len(hr), n * n)
-            if kernel is not f:  # F_2 rows into words; other entries are kernel indices already
-                systems = kernel.index(systems)
+            if kernel is f:
+                systems = f.matmul(axt[:, :, None], hr).reshape(len(chunk), dim * nh, n * n)
+            else:
+                systems = kernel.matmul(axt.reshape(len(chunk), dim, n * m), hw).reshape(len(chunk), dim * nh, 1)
             yield from ((a, null) for a, null in zip(chunk, _linalg.modp_nullspace(systems, kernel)) if null)
 
     def codewords(self, include_zero=True, guard=ENUM_GUARD):

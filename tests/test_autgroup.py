@@ -1,8 +1,10 @@
 import time
+import types
 
 import pytest
 
 from rankmetric import _linalg
+from rankmetric.cli import resolve_eta, resolve_subspace
 from rankmetric.errors import AnsatzMismatchError, EnumerationGuardError
 from rankmetric.gf import field_create
 from rankmetric.linpoly import LinearizedPoly, matrix_to_poly, poly_to_matrix, subspace_poly
@@ -335,3 +337,27 @@ def test_known_automorphisms_match_the_per_monomial_reference(p, e, n, m, h, siz
     elapsed = time.perf_counter() - start
     assert known == _known_by_monomials(params, S, code) and len(known) == size
     assert budget is None or elapsed < budget, elapsed
+
+
+# (p, e, n, m, k, h, eta, subspace): the aut-exhaustive cells over F_7
+# (m = 2, n = 3; most B are not monomial), F_4 (rho = 1 triples are not
+# monomial), and F_2 at n = 5 and n = 6
+VERDICT_CELLS = [(7, 1, 3, 2, 1, 1, "nonsquare-min", "generic:1"), (2, 2, 3, 2, 1, 0, "0", "generic:3"),
+                 (2, 1, 5, 3, 1, 1, "0", "generic:1"), (2, 1, 6, 3, 2, 0, "0", "generic:0")]
+
+
+@pytest.mark.parametrize("p, e, n, m, k, h, eta, sub", VERDICT_CELLS, ids=["F7^3", "F4^3", "F2^5", "F2^6"])
+def test_streamed_verdicts_match_a_per_triple_reference(p, e, n, m, k, h, eta, sub):
+    gf = field_create(p, e, n)
+    params = CodeParams(gf, m, k, 1, h, resolve_eta(gf, eta))
+    S = resolve_subspace(gf, sub, m)
+    rep = aut_report(project_code(build_gtg(params), S), params, S)
+    assert isinstance(rep["verdicts"], types.GeneratorType)
+    want = []
+    for t in rep["triples"]:
+        mono, a, u = check_monomial_form(matrix_to_poly(gf, t.B), rep["ell_right"])
+        want.append({"n_side_monomial": mono, "a": a, "u": u,
+                     **({"m_side_scalar": mside_twisted_scalar(t.A, S, u)} if mono else {})})
+    assert list(rep["verdicts"]) == want
+    assert rep["monomial_fraction"] == sum(v["n_side_monomial"] for v in want) / len(want)
+    assert (rep["monomial_fraction"] < 1) == (p ** e in (4, 7))

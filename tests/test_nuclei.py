@@ -4,7 +4,9 @@ import time
 
 import pytest
 
-from rankmetric._linalg import fq_rref
+from rankmetric import rankcode
+from rankmetric._linalg import chunk_len, fq_rref
+from rankmetric.autgroup import enumerate_gl
 from rankmetric.cli import _guards, resolve_instance
 from rankmetric.errors import HypothesisNotMetError, OneNotInSError
 from rankmetric.gf import field_create
@@ -543,6 +545,32 @@ def test_nucleus_is_every_matrix_found_by_enumeration(side, p, e, n, m):
         assert span_matrices(gf, report.bruteforce_basis) == _nucleus_by_enumeration(code, side)
         orders.add(report.bruteforce_order)
     assert len(orders) > 1  # not only the scalars
+
+
+# (m, n, dims): random F_2 codes of these dimensions, near m n so that
+# most A have a nonzero B-space, against A = I and then all of GL(m, 2):
+# several chunks of A, the last one partial
+PACKED_CELLS = [(3, 5, (14, 13)), (4, 4, (15,))]
+
+
+@pytest.mark.parametrize("m, n, dims", PACKED_CELLS, ids=[f"m{m}-n{n}" for m, n, _ in PACKED_CELLS])
+def test_packed_stabilizers_match_the_unpacked_path(monkeypatch, m, n, dims):
+    # the systems built as BitField words against PrimeField(2) entry rows
+    gf = field_create(2, 1, n)
+    rng = random.Random(f"packed-{m}-{n}")
+    lefts = [mat_identity(gf, m), *enumerate_gl(gf, m)]
+    for dim in dims:
+        rows, pivots = [], ()
+        while len(pivots) < dim:
+            rows, pivots = fq_rref([[rng.randrange(2) for _ in range(m * n)] for _ in range(dim)], gf)
+        code = RankCode(gf, m, [vec_mat(row, m, n) for row in rows])
+        assert len(lefts) > chunk_len(dim * m * n) and len(lefts) % chunk_len(dim * m * n)
+        packed = [(a, [v.tolist() for v in null]) for a, null in code.right_stabilizers(lefts)]
+        with monkeypatch.context() as mp:
+            mp.setattr(rankcode, "_packs", lambda q, width: False)
+            plain = [(a, [v.tolist() for v in null]) for a, null in code.right_stabilizers(lefts)]
+        assert packed == plain and len(packed) > 24
+        assert packed[0][0] == lefts[0]  # A = I, rho = 0: the right nucleus
 
 
 def _field_structure_by_enumeration(basis, gf):

@@ -113,3 +113,23 @@ print(json.dumps({"code": code, "growth_kb": peak_kb() - before}))
 """)
     assert out["code"] == 0
     assert out["growth_kb"] < 10 * 1024, out
+
+
+def test_aut_holds_the_group_once():
+    # the same F_{7^3}, m = 2 op under tracemalloc: the peak of the Python
+    # allocations of cli.main.  A verdict dict and a fresh serialized copy
+    # of A and B per triple held it at 3.58 MB; one monomial form per
+    # distinct B, streamed verdicts and slotted triples hold it at 2.45 MB.
+    out = _child("""
+import json, os, sys, tracemalloc
+import rankmetric.cli as cli
+
+tracemalloc.start()
+stdout = sys.stdout
+with open(os.devnull, "w") as sys.stdout:
+    code = cli.main("aut --p 7 --e 1 --n 3 --m 2 --k 1 --s 1 --h 1 --eta nonsquare-min --subspace generic:1".split())
+sys.stdout = stdout
+print(json.dumps({"code": code, "peak": tracemalloc.get_traced_memory()[1]}))
+""")
+    assert out["code"] == 0
+    assert out["peak"] < 3_000_000, out
