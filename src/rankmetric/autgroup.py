@@ -115,28 +115,22 @@ def enumerate_gl(gf, n: int, guard: int = GL_GUARD_NORMALIZER):
         yield from gf._misc_cache[key]
         return
     collect = [] if size <= GL_GUARD_AUT else None
-    f = _linalg.fq_arith(gf)
-    for digits in _linalg.span_digits(n * n, gf.q, n * n):
-        for mat in _invertibles(f, digits[:, ::-1].reshape(-1, n, n)):
-            if collect is not None:
-                collect.append(mat)
-            yield mat
+    candidates = (digits[:, ::-1] for digits in _linalg.span_digits(n * n, gf.q, n * n))
+    for mat in _invertibles(_linalg.fq_arith(gf), candidates, n):
+        if collect is not None:
+            collect.append(mat)
+        yield mat
     if collect is not None:
         gf._misc_cache[key] = tuple(collect)
 
 
-def _invertible_span(gf, basis, n):
-    """The invertible n x n matrices in the F_q-span of the vectorized
-    index basis, packed, lazily and in ``modp_span`` order."""
-    f = _linalg.fq_arith(gf)
-    for words in _linalg.modp_span(basis, f):
-        yield from _invertibles(f, words.reshape(-1, n, n))
-
-
-def _invertibles(f, mats):
-    """The invertible matrices of a stack of index matrices, packed, ranked as one stack."""
-    n = mats.shape[-1]
-    return (tuple(map(tuple, b)) for b in f.packed(mats[_linalg.modp_rank(mats, f) == n]).tolist())
+def _invertibles(f, stacks, n):
+    """The invertible n x n matrices of a stream of stacks of index rows
+    of n^2 entries (GL candidates, or a B-space's ``modp_span``), packed,
+    lazily and in order; each stack is ranked as one."""
+    for rows in stacks:
+        mats = rows.reshape(-1, n, n)
+        yield from (tuple(map(tuple, b)) for b in f.packed(mats[_linalg.modp_rank(mats, f) == n]).tolist())
 
 
 # ----------------------------------------------------------------------------
@@ -241,10 +235,11 @@ def aut_bruteforce(code: RankCode, gl_guard: int = GL_GUARD_AUT):
         raise EnumerationGuardError(
             f"code is {'the zero code' if not code.basis else 'the full matrix space'}; "
             "its automorphism set is all of GL(m,q) x GL(n,q) x Aut(F_q) and is not enumerated")
+    f = _linalg.fq_arith(gf)
     shared = {}  # one tuple per distinct B: many A share their B's
     return [AutTriple(a_mat, shared.setdefault(b_mat, b_mat), rho) for rho in range(gf.e)
             for a_mat, null in code.right_stabilizers(enumerate_gl(gf, code.m, gl_guard), rho)
-            for b_mat in sorted(_invertible_span(gf, null, n))]
+            for b_mat in sorted(_invertibles(f, _linalg.modp_span(null, f), n))]
 
 
 # ----------------------------------------------------------------------------
