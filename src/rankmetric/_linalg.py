@@ -380,8 +380,8 @@ def modp_span(basis, p):
     that stay under STACK_BUDGET entries."""
     f = _field(p)
     basis = np.asarray(basis, dtype=np.int64)
-    for digits in span_digits(len(basis), f.q, basis.shape[1]):
-        yield f.matmul(digits, basis)
+    # map, unlike a loop, keeps no chunk of digits alive while the caller holds its product
+    return map(lambda digits: f.matmul(digits, basis), span_digits(len(basis), f.q, basis.shape[1]))
 
 
 def span_digits(k, q, width):
@@ -391,8 +391,7 @@ def span_digits(k, q, width):
     powers = q ** np.arange(k, dtype=np.int64)
     step = chunk_len(width)
     for start in range(0, q ** k, step):
-        t = np.arange(start, min(start + step, q ** k), dtype=np.int64)
-        yield t[:, None] // powers % q
+        yield np.arange(start, min(start + step, q ** k), dtype=np.int64)[:, None] // powers % q
 
 
 # ----------------------------------------------------------------------------
