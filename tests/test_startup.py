@@ -119,7 +119,7 @@ def test_aut_holds_the_group_once():
     # the same F_{7^3}, m = 2 op under tracemalloc: the peak of the Python
     # allocations of cli.main.  A verdict dict and a fresh serialized copy
     # of A and B per triple held it at 3.58 MB; one monomial form per
-    # distinct B, streamed verdicts and slotted triples hold it at 2.45 MB.
+    # distinct B, streamed verdicts and slotted triples hold it at 2.43 MB.
     out = _child("""
 import json, os, sys, tracemalloc
 import rankmetric.cli as cli
