@@ -14,6 +14,16 @@ is the right nucleus), so the whole group is found with
 linear bijective map, mapping a basis into the code already forces set
 equality, so invertible nullspace members are automorphisms outright.
 
+The right nucleus N_r = {Y : C Y in C} fixes the shape of the group:
+the invertible B of one (rho, A) are empty or a coset B0 N_r^* of the
+unit group N_r^*.  Let B0 be invertible with A C^rho B0 = C, and V the
+B-space of (rho, A).
+  (1) Y in N_r gives A C^rho B0 Y = C Y in C, so B0 N_r lies in V.
+  (2) B in V gives C B0^(-1) B = A C^rho B in C, so B0^(-1) B is in N_r.
+  (3) B0 Y is invertible iff Y is, so V's invertibles are B0 N_r^*.
+So the group is held as its members (rho, A, coset), each distinct
+coset once, and its |Aut| triples are made only as it is read.
+
 The Theta set collects the coefficient sums of right-nucleus elements
 written in the q^(i ell)-monomial ansatz; its two predicates (meeting
 F_{q^ell} outside F_q, or being all of F_{q^n}) gate the necessary
@@ -55,18 +65,30 @@ class AutTriple:
     B: tuple
     rho: int
 
-    def serialize(self, gf, memo=None):
-        """A and B as tuples of rows of ``gf.fq_json`` entries: the matrices
-        themselves when q is prime (their entries are the ints already),
-        else one rendering per distinct matrix, kept in ``memo`` (a dict a
-        caller shares across the triples of a group)."""
-        if gf.e == 1:
-            return {"A": self.A, "B": self.B, "rho": self.rho}
-        memo = {} if memo is None else memo
-        for mat in (self.A, self.B):
-            if mat not in memo:
-                memo[mat] = tuple(tuple(map(gf.fq_json, row)) for row in mat)
-        return {"A": memo[self.A], "B": memo[self.B], "rho": self.rho}
+
+class AutGroup:
+    """The group ``aut_bruteforce`` finds, held as its members (rho, A, c)
+    in (rho, A) order: ``cosets[c]`` is the coset B0 N_r^* of B's of
+    that (rho, A) (module docstring) as one array (|N_r^*|, n, n) of
+    entry indices, sorted, and stored once however many members share
+    it.  Iterating makes the AutTriples in (rho, A, B) order as they are
+    read; ``len`` is the order, counted from the members."""
+
+    def __init__(self, gf, members, cosets):
+        self.gf, self.members, self.cosets = gf, members, cosets
+
+    def __len__(self):
+        return sum(len(self.cosets[c]) for _, _, c in self.members)
+
+    def __iter__(self):
+        for rho, a_mat, c in self.members:
+            for b_mat in self.coset(c):
+                yield AutTriple(a_mat, b_mat, rho)
+
+    def coset(self, c):
+        """The B's of coset c, in order, as tuples of row tuples of packed
+        F_q elements."""
+        return [tuple(map(tuple, b)) for b in _linalg.fq_arith(self.gf).packed(self.cosets[c]).tolist()]
 
 
 def aut_identity(gf, m, n) -> AutTriple:
@@ -101,12 +123,12 @@ def gl_order(q: int, n: int) -> int:
     return out
 
 
-def enumerate_gl(gf, n: int, guard: int = GL_GUARD_NORMALIZER):
+def enumerate_gl(gf, n: int, guard: int = GL_GUARD_NORMALIZER, cache: bool = True):
     """All of GL(n, q) in lexicographic row-major entry order: candidate
     t = 0, 1, ..., q^(n^2) - 1 holds the base-q digits of t as entry
     indices, the last entry's digit fastest, and the invertible ones are
-    kept.  The list is cached on the field spec when it has at most 2^18
-    elements."""
+    kept.  With ``cache`` the list is kept on the field spec when it has
+    at most 2^18 elements; a list kept there is replayed either way."""
     size = gl_order(gf.q, n)
     if size > guard:
         raise EnumerationGuardError(f"|GL({n},{gf.q})| = {size} exceeds guard {guard}")
@@ -114,23 +136,27 @@ def enumerate_gl(gf, n: int, guard: int = GL_GUARD_NORMALIZER):
     if key in gf._misc_cache:
         yield from gf._misc_cache[key]
         return
-    collect = [] if size <= GL_GUARD_AUT else None
+    collect = [] if cache and size <= GL_GUARD_AUT else None
+    f = _linalg.fq_arith(gf)
     candidates = (digits[:, ::-1] for digits in _linalg.span_digits(n * n, gf.q, n * n))
-    for mat in _invertibles(_linalg.fq_arith(gf), candidates, n):
-        if collect is not None:
-            collect.append(mat)
-        yield mat
+    for mats in _invertibles(f, candidates, n):
+        for mat in map(np.ndarray.tolist, f.packed(mats)):  # one at a time: a stack can be all of GL
+            mat = tuple(map(tuple, mat))
+            if collect is not None:
+                collect.append(mat)
+            yield mat
     if collect is not None:
         gf._misc_cache[key] = tuple(collect)
 
 
 def _invertibles(f, stacks, n):
     """The invertible n x n matrices of a stream of stacks of index rows
-    of n^2 entries (GL candidates, or a B-space's ``modp_span``), packed,
-    lazily and in order; each stack is ranked as one."""
+    of n^2 entries (GL candidates, or a B-space's ``modp_span``), as
+    index stacks (k, n, n), lazily and in order; each stack is ranked
+    as one."""
     for rows in stacks:
         mats = rows.reshape(-1, n, n)
-        yield from (tuple(map(tuple, b)) for b in f.packed(mats[_linalg.modp_rank(mats, f) == n]).tolist())
+        yield mats[_linalg.modp_rank(mats, f) == n]
 
 
 # ----------------------------------------------------------------------------
@@ -225,9 +251,14 @@ def normalizer_elements(nr_basis, gf, guard: int = GL_GUARD_NORMALIZER):
 # exhaustive automorphism search
 # ----------------------------------------------------------------------------
 
-def aut_bruteforce(code: RankCode, gl_guard: int = GL_GUARD_AUT):
-    """The full automorphism group of the code as a list of AutTriples,
-    in deterministic (rho, A, B) lexicographic order."""
+def aut_bruteforce(code: RankCode, gl_guard: int = GL_GUARD_AUT) -> AutGroup:
+    """The full automorphism group of the code as an ``AutGroup``, in
+    deterministic (rho, A, B) lexicographic order.  GL(m, q) is walked
+    once and not kept: each chunk of A is solved for every rho before the
+    next chunk is drawn, and the members of rho > 0 wait in their own
+    lists.  Equal B-spaces have equal canonical nullspace bases, so the
+    span of each distinct one is enumerated once; a member whose space
+    holds no invertible B is dropped."""
     gf, n = code.gf, code.n
     if n * n > 36:
         raise EnumerationGuardError(f"n^2 = {n * n} exceeds the 36 guard")
@@ -236,10 +267,18 @@ def aut_bruteforce(code: RankCode, gl_guard: int = GL_GUARD_AUT):
             f"code is {'the zero code' if not code.basis else 'the full matrix space'}; "
             "its automorphism set is all of GL(m,q) x GL(n,q) x Aut(F_q) and is not enumerated")
     f = _linalg.fq_arith(gf)
-    shared = {}  # one tuple per distinct B: many A share their B's
-    return [AutTriple(a_mat, shared.setdefault(b_mat, b_mat), rho) for rho in range(gf.e)
-            for a_mat, null in code.right_stabilizers(enumerate_gl(gf, code.m, gl_guard), rho)
-            for b_mat in sorted(_invertibles(f, _linalg.modp_span(null, f), n))]
+    members, cosets, seen = [[] for _ in range(gf.e)], [], {}
+    gl = enumerate_gl(gf, code.m, gl_guard, cache=False)
+    for rho, a_mat, null in code.right_stabilizers(gl, range(gf.e)):
+        key = np.array(null).tobytes()
+        if key not in seen:
+            bs = np.concatenate(list(_invertibles(f, _linalg.modp_span(null, f), n)))
+            seen[key] = len(cosets) if len(bs) else None
+            if len(bs):  # sorted as the packed matrices sort: index order is F_q's order
+                cosets.append(bs[np.lexsort(bs.reshape(len(bs), n * n).T[::-1])].astype(np.min_scalar_type(f.q - 1)))
+        if seen[key] is not None:
+            members[rho].append((rho, a_mat, seen[key]))
+    return AutGroup(gf, [member for per_rho in members for member in per_rho], cosets)
 
 
 # ----------------------------------------------------------------------------
@@ -268,7 +307,7 @@ def generate_known_automorphisms(params: CodeParams, S: SubspaceSpec, code: Rank
                 mside.append(rows)
     f = _linalg.fq_arith(gf)
     duals = [(rho, a_mat, _linalg.modp_dual(null, f).T)
-             for rho in range(gf.e) for a_mat, null in code.right_stabilizers(mside, rho)]
+             for rho, a_mat, null in code.right_stabilizers(mside, range(gf.e))]
     frobs = f.index([poly_to_matrix(LinearizedPoly.monomial(gf, gf.one, u)) for u in range(n)])
     mults = f.index([poly_to_matrix(LinearizedPoly.monomial(gf, b, 0)) for b in gf.power_basis()])
     out = []
@@ -291,15 +330,14 @@ def aut_report(code: RankCode, params: CodeParams = None, S: SubspaceSpec = None
     """Brute-force group plus Theta predicates and per-triple monomial
     verdicts on the n-side (and the twisted-scalar check on the m-side).
 
-    ``verdicts`` is a generator over the triples, in order: one dict
-    {"n_side_monomial", "a", "u"}, plus "m_side_scalar" when the n-side
-    is monomial, made as it is read (call ``list`` to index it).  The
-    group is the only per-triple data held: one monomial form per
-    distinct B, which ``monomial_fraction`` is counted from, and the
-    scalars of one A at a time."""
+    ``triples`` is the ``AutGroup``.  ``verdicts`` is a generator over
+    its triples, in order: one dict {"n_side_monomial", "a", "u"}, plus
+    "m_side_scalar" when the n-side is monomial, made as it is read (call
+    ``list`` to index it).  The monomial forms are computed once per
+    distinct coset, and ``monomial_fraction`` is counted from them."""
     gf = code.gf
-    triples = aut_bruteforce(code, gl_guard)
-    report = {"order": len(triples), "triples": triples}
+    group = aut_bruteforce(code, gl_guard)
+    report = {"order": len(group), "triples": group}
     if S is None:
         return report
     ell = smallest_containing_subfield(S)
@@ -314,27 +352,24 @@ def aut_report(code: RankCode, params: CodeParams = None, S: SubspaceSpec = None
         ts = None
         report["theta"] = None
         report["ansatz_mismatch"] = True
-    forms = {}  # B -> its monomial form; many triples share their B
-    for t in triples:
-        if t.B not in forms:
-            forms[t.B] = check_monomial_form(matrix_to_poly(gf, t.B), ell)
-    report["verdicts"] = _verdicts(triples, forms, S)
-    report["monomial_fraction"] = sum(forms[t.B][0] for t in triples) / len(triples) if triples else None
+    forms = [[check_monomial_form(matrix_to_poly(gf, b), ell) for b in group.coset(c)]
+             for c in range(len(group.cosets))]
+    monomials = [sum(mono for mono, _, _ in coset) for coset in forms]
+    report["verdicts"] = _verdicts(group, forms, S)
+    report["monomial_fraction"] = sum(monomials[c] for _, _, c in group.members) / len(group)
     return report
 
 
-def _verdicts(triples, forms, S):
-    """The verdict of each triple, in order (see ``aut_report``).  The
-    triples of one A are adjacent, so its scalars are kept per u only
-    until the next A."""
-    scalars, last = {}, None
-    for t in triples:
-        mono, a, u = forms[t.B]
-        entry = {"n_side_monomial": mono, "a": a, "u": u}
-        if mono:
-            if t.A is not last:
-                scalars, last = {}, t.A
-            if u not in scalars:
-                scalars[u] = mside_twisted_scalar(t.A, S, u)
-            entry["m_side_scalar"] = scalars[u]
-        yield entry
+def _verdicts(group, forms, S):
+    """The verdict of each triple, in order (see ``aut_report``), read
+    off the forms of its member's coset; the m-side scalars of a member
+    are kept per u until the next member."""
+    for _, a_mat, c in group.members:
+        scalars = {}
+        for mono, a, u in forms[c]:
+            entry = {"n_side_monomial": mono, "a": a, "u": u}
+            if mono:
+                if u not in scalars:
+                    scalars[u] = mside_twisted_scalar(a_mat, S, u)
+                entry["m_side_scalar"] = scalars[u]
+            yield entry

@@ -289,43 +289,57 @@ def _json_text(obj, end="") -> str:
     return "".join(chunks)
 
 
+_ARRAYS, _INT = (list, tuple), frozenset([int])
+
+
 def _json_pieces(x, ind, out, memo, flush):
     """Append x's pieces to out (``ind``: a newline and x's indentation).
-    Separators are interned, one string each, and each distinct tuple is
-    joined once per depth, keyed on its repr (True == 1 == 1.0 hash alike).
-    An array outside any tuple calls ``flush`` between its items once out
-    holds more than FLUSH_PIECES pieces; a tuple passes None, since its
-    pieces must stay in out until they are joined."""
-    if x is None or type(x) is bool:
-        out.append("null" if x is None else "true" if x else "false")
+    Each dict key's piece is made once per depth and kept in ``memo``.
+    An array whose entries are all plain ints (not bools: True == 1
+    hashes alike) is one piece, made with one join; such a tuple's text
+    is kept in ``memo`` too, keyed on the depth and the tuple itself, so
+    the memo holds the distinct matrix rows, not the matrices.  Any
+    other array calls ``flush`` between its items once out holds more
+    than FLUSH_PIECES pieces."""
+    if type(x) in _ARRAYS and x and _INT.issuperset(map(type, x)):
+        key = (ind, x) if type(x) is tuple else None
+        text = memo.get(key) if key else None
+        if text is None:
+            inner = ind + "  "
+            text = "[" + inner + ("," + inner).join(map(repr, x)) + ind + "]"
+            if key:
+                memo[key] = text
+        out.append(text)
     elif type(x) is int:
         out.append(repr(x))
+    elif x is None or type(x) is bool:
+        out.append("null" if x is None else "true" if x else "false")
     elif isinstance(x, str):
         out.append(json.encoder.encode_basestring_ascii(x))
     elif isinstance(x, dict):
         inner = ind + "  "
         for i, (k, v) in enumerate(sorted(x.items())):
-            out.append(sys.intern(f"{',' if i else '{'}{inner}{json.encoder.encode_basestring_ascii(k)}: "))
-            _json_pieces(v, inner, out, memo, flush)
-        out.append(sys.intern(ind + "}") if x else "{}")
-    elif isinstance(x, (list, tuple, types.GeneratorType)):
-        key = (ind, repr(x)) if type(x) is tuple else None
-        if key in memo:
+            key = (inner, k, i > 0)
+            if key not in memo:
+                memo[key] = f"{',' if i else '{'}{inner}{json.encoder.encode_basestring_ascii(k)}: "
             out.append(memo[key])
-            return
-        if key:
-            flush = None
-        start, inner, empty = len(out), ind + "  ", True
-        for v in x:
-            out.append(sys.intern(("[" if empty else ",") + inner))
-            empty = False
             _json_pieces(v, inner, out, memo, flush)
-            if flush and len(out) > FLUSH_PIECES:
+        out.append(ind + "}" if x else "{}")
+    elif isinstance(x, (list, tuple, types.GeneratorType)):
+        inner = ind + "  "
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            sep = "," + inner
+            # a matrix row rendered before: its text, without a call
+            text = memo.get((inner, v)) if type(v) is tuple and _INT.issuperset(map(type, v)) else None
+            if text is None:
+                _json_pieces(v, inner, out, memo, flush)
+            else:
+                out.append(text)
+            if len(out) > FLUSH_PIECES:
                 flush()
-        out.append("[]" if empty else sys.intern(ind + "]"))
-        if key:
-            memo[key] = "".join(out[start:])
-            out[start:] = [memo[key]]
+        out.append("[]" if sep[0] == "[" else ind + "]")
     else:  # a float or an int subclass: the C encoder's text
         out.append(json.dumps(x))
 
@@ -387,7 +401,6 @@ def _aut_payload(config):
     guards, gf, params, S, code, payload = _instance(config)
     report = autgroup.aut_report(code, params, S, gl_guard=guards["max_gl"])
     ts = report.get("theta")
-    matrices = {}  # each distinct A and B serialized once
     payload.update({
         "summary": {
             "order": report["order"],
@@ -400,13 +413,29 @@ def _aut_payload(config):
             },
         },
         # rendered lazily, one entry at a time, as the writer streams them
-        "triples": (t.serialize(gf, matrices) for t in report["triples"]),
+        "triples": _triples_json(gf, report["triples"]),
         "verdicts": (
             {"n_side_monomial": v["n_side_monomial"], "u": v["u"],
              **{key: None if v.get(key) is None else gf.coords(v[key]) for key in ("a", "m_side_scalar")}}
             for v in report["verdicts"]),
     })
     return payload
+
+
+def _triples_json(gf, group):
+    """The group's triples as JSON dicts, streamed from its members: each
+    A is rendered once per member, each B as its coset is read.  When q
+    is prime the matrices are their own JSON (their entries are the
+    ``gf.fq_json`` ints already), else each entry is looked up in a table
+    of the q elements' ``gf.fq_json``."""
+    entry = {x: gf.fq_json(x) for x in gf.fq_list()}.__getitem__
+
+    def as_json(mat):
+        return mat if gf.e == 1 else tuple(tuple(map(entry, row)) for row in mat)
+    for rho, a_mat, c in group.members:
+        a_json = as_json(a_mat)
+        for b_mat in group.coset(c):
+            yield {"A": a_json, "B": as_json(b_mat), "rho": rho}
 
 
 def cmd_aut(config) -> int:
@@ -643,8 +672,25 @@ def run_selfcheck() -> int:
     _check("rank histograms by codewords and by subspace counts agree on F_2 5x6 and F_9 3x3 codes",
            histogram_paths, failures)
 
+    f4_aut = {"field": {"p": 2, "e": 2, "n": 2}, "params": {"m": 2, "k": 1, "s": 1, "h": 1}}
+
+    def aut_cosets():
+        import numpy as np
+        _, gf, _, _, code, _ = _instance(f4_aut)
+        f, n = _linalg.fq_arith(gf), code.n
+        want = []  # per rho and A: the sorted invertibles of its B-space's span
+        for rho in range(gf.e):
+            for _, a_mat, null in code.right_stabilizers(autgroup.enumerate_gl(gf, code.m), (rho,)):
+                mats = np.concatenate(list(_linalg.modp_span(null, f))).reshape(-1, n, n)
+                bs = sorted(tuple(map(tuple, b)) for b in f.packed(mats[_linalg.modp_rank(mats, f) == n]).tolist())
+                want += [autgroup.AutTriple(a_mat, b, rho) for b in bs]
+        group = autgroup.aut_bruteforce(code)
+        assert list(group) == want and len(group) == len(want), (len(group), len(want))
+    _check("automorphism group held as cosets equals the per-A span reference on an F_4 cell",
+           aut_cosets, failures)
+
     def json_writer():
-        aut = _aut_payload({"field": {"p": 2, "e": 2, "n": 2}, "params": {"m": 2, "k": 1, "s": 1, "h": 1}})
+        aut = _aut_payload(f4_aut)
         listed = dict(aut, triples=list(aut["triples"]), verdicts=list(aut["verdicts"]))
         streamed = dict(listed, triples=(t for t in listed["triples"]), verdicts=(v for v in listed["verdicts"]))
         edges = [{}, [], (), {"a": [{}, ()]}, None, True, False, 0.1, aut["summary"]["monomial_fraction"],

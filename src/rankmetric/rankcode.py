@@ -181,7 +181,9 @@ def build_gtg(params: CodeParams) -> GtgGenerators:
 class RankCode:
     """F_q-linear subspace of F_q^(m x n), n = gf.n by default, given by an independent basis."""
 
-    def __init__(self, gf, m, basis, provenance=None, n=None):
+    def __init__(self, gf, m, basis, provenance=None, n=None, independent=False):
+        """``independent``: the caller knows the basis is F_q-independent,
+        so it is not ranked again."""
         self.gf = gf
         self.m = m
         self.n = gf.n if n is None else n
@@ -190,8 +192,9 @@ class RankCode:
             if len(mat) != m or any(len(row) != self.n for row in mat):
                 raise ShapeMismatchError("basis matrix has wrong shape")
         self.provenance = provenance
-        self._parity = None
-        if self.basis and _linalg.fq_rank([list(mat_vec(b)) for b in self.basis], gf) != len(self.basis):
+        self._parity = None  # the dual's rows, or a function that makes them
+        if not independent and self.basis and \
+                _linalg.fq_rank([list(mat_vec(b)) for b in self.basis], gf) != len(self.basis):
             raise DimensionCollapseError("basis matrices are F_q-dependent")
 
     @property
@@ -209,6 +212,8 @@ class RankCode:
             f = _linalg.fq_arith(self.gf)
             h = _linalg.modp_dual(f.index(np.reshape(self.basis, (self.dim, self.m * self.n))), f)
             self._parity = [tuple(row) for row in f.packed(h).tolist()]
+        elif callable(self._parity):
+            self._parity = self._parity()
         return self._parity
 
     def contains(self, mat) -> bool:
@@ -217,19 +222,22 @@ class RankCode:
         h = f.index(self.parity_rows()).reshape(-1, self.m * self.n)
         return not f.matmul(h, f.index(mat_vec(mat))[:, None]).any()
 
-    def right_stabilizers(self, lefts, rho=0):
-        """(A, index basis of {B : A X^rho B in the code for every X}) for
-        each m x m matrix A of ``lefts``, in order, skipping every A whose
-        space is zero.  B pairs to zero with (A X^rho)^T H for every basis
-        X and dual row H, one row per (X, H), X-major; the systems of a
-        chunk of A are built and solved as one stack under STACK_BUDGET.
+    def right_stabilizers(self, lefts, rhos=(0,)):
+        """(rho, A, index basis of {B : A X^rho B in the code for every X})
+        for each m x m matrix A of ``lefts`` and each rho of ``rhos``,
+        skipping every pair whose space is zero: ``lefts`` is walked once,
+        a chunk at a time, and every rho of a chunk is solved before the
+        next chunk is drawn.  B pairs to zero with (A X^rho)^T H for every
+        basis X and dual row H, one row per (X, H), X-major; the systems of
+        a chunk of A are built and solved as one stack under STACK_BUDGET.
         Over F_2 each row is built as one ``BitField`` word, bit j n + k
         holding entry (j, k): the (A X^rho)^T entries times the parity
         words, whose row (j, i) is row i of H as a word shifted by j n,
         so a chunk is sized by its m n dim entries per A.
         A = I, rho = 0 gives the right nucleus."""
         f, m, n, dim = _linalg.fq_arith(self.gf), self.m, self.n, self.dim
-        xs = f.index(np.reshape([mat_frobenius_p(self.gf, x, rho) for x in self.basis], (dim, m, n)))
+        xss = [(rho, f.index(np.reshape([mat_frobenius_p(self.gf, x, rho) for x in self.basis], (dim, m, n))))
+               for rho in rhos]
         hr = f.index(self.parity_rows()).reshape(-1, m, n)
         nh = len(hr)
         if _packs(self.gf.q, n * n):
@@ -238,12 +246,14 @@ class RankCode:
         else:
             kernel, per_a = f, dim * nh * n * n
         for chunk in _linalg.stack_chunks(lefts, per_a):
-            axt = np.swapaxes(f.matmul(f.index(chunk)[:, None], xs), -1, -2)
-            if kernel is f:
-                systems = f.matmul(axt[:, :, None], hr).reshape(len(chunk), dim * nh, n * n)
-            else:
-                systems = kernel.matmul(axt.reshape(len(chunk), dim, n * m), hw).reshape(len(chunk), dim * nh, 1)
-            yield from ((a, null) for a, null in zip(chunk, _linalg.modp_nullspace(systems, kernel)) if null)
+            a_idx = f.index(chunk)[:, None]
+            for rho, xs in xss:
+                axt = np.swapaxes(f.matmul(a_idx, xs), -1, -2)
+                if kernel is f:
+                    systems = f.matmul(axt[:, :, None], hr).reshape(len(chunk), dim * nh, n * n)
+                else:
+                    systems = kernel.matmul(axt.reshape(len(chunk), dim, n * m), hw).reshape(len(chunk), dim * nh, 1)
+                yield from ((rho, a, null) for a, null in zip(chunk, _linalg.modp_nullspace(systems, kernel)) if null)
 
     def codewords(self, include_zero=True, guard=ENUM_GUARD):
         """Stream all codewords in the ``_linalg.fq_span`` odometer order
@@ -478,9 +488,11 @@ def apply_equivalence(code: RankCode, A, B, C=None, gamma: int = 0) -> RankCode:
 
 
 def adjoint(code: RankCode) -> RankCode:
-    """The transpose code in F_q^(n x m); the dual pairing is entrywise,
-    so its parity rows are the transposed parity rows of the code."""
+    """The transpose code in F_q^(n x m).  Transposing keeps a basis
+    independent, so it is not ranked again; the dual pairing is
+    entrywise, so the parity rows are the code's own transposed, made
+    when they are first asked for."""
     m, n = code.m, code.n
-    out = RankCode(code.gf, n, [mat_transpose(b) for b in code.basis], n=m)
-    out._parity = [mat_vec(mat_transpose(vec_mat(h, m, n))) for h in code.parity_rows()]
+    out = RankCode(code.gf, n, [mat_transpose(b) for b in code.basis], n=m, independent=True)
+    out._parity = lambda: [mat_vec(mat_transpose(vec_mat(h, m, n))) for h in code.parity_rows()]
     return out

@@ -320,7 +320,7 @@ def test_c09_automorphism_necessity(grid):
     assert len(cases) == 2
     for inst in cases:
         rep = aut_report(inst.code, inst.params, inst.S)
-        triples = rep["triples"]
+        triples = list(rep["triples"])
         if not triples:
             failures.append(f"{inst.name}: empty automorphism set")
             continue

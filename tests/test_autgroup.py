@@ -1,6 +1,7 @@
 import time
 import types
 
+import numpy as np
 import pytest
 
 from rankmetric import _linalg
@@ -158,7 +159,7 @@ def test_normalizer_guard():
 
 def test_aut_contains_identity_and_is_group(tiny_code):
     f8, params, S, code = tiny_code
-    auts = aut_bruteforce(code)
+    auts = list(aut_bruteforce(code))
     assert aut_identity(f8, 2, 3) in auts
     autset = set(auts)
     for t in auts:
@@ -361,3 +362,56 @@ def test_streamed_verdicts_match_a_per_triple_reference(p, e, n, m, k, h, eta, s
     assert list(rep["verdicts"]) == want
     assert rep["monomial_fraction"] == sum(v["n_side_monomial"] for v in want) / len(want)
     assert (rep["monomial_fraction"] < 1) == (p ** e in (4, 7))
+
+
+# (p, e, n, m, k, h, eta, subspace): the six seed-0 aut-exhaustive ops,
+# the C4 cell q3-n4-m3-k1-ns-h1 (right nucleus of order 81) and an e = 2
+# cell over F_9 (both rho = 0 and rho = 1 hold members)
+COSET_CELLS = {
+    "aut-00": (2, 1, 6, 3, 2, 0, "0", "generic:0"),
+    "aut-01": (2, 1, 5, 3, 1, 0, "0", "generic:1"),
+    "aut-02": (5, 1, 3, 2, 1, 1, "nonsquare-min", "generic:0"),
+    "aut-03": (7, 1, 3, 2, 1, 1, "nonsquare-min", "generic:1"),
+    "aut-04": (3, 1, 4, 2, 1, 2, "0", "generic:0"),
+    "aut-05": (2, 2, 3, 2, 1, 0, "0", "generic:3"),
+    "C4": (3, 1, 4, 3, 1, 1, "nonsquare-min", "generic:0"),
+    "F9^2": (3, 2, 2, 2, 1, 1, "generator", "generic:0"),
+}
+
+
+def _per_a_reference(code):
+    """The group the slow way: every (rho, A) keeps the sorted invertible
+    matrices of the ``modp_span`` of its own B-space."""
+    gf, n = code.gf, code.n
+    f = _linalg.fq_arith(gf)
+    out = []
+    for rho in range(gf.e):
+        for _, a_mat, null in code.right_stabilizers(enumerate_gl(gf, code.m), (rho,)):
+            mats = np.concatenate(list(_linalg.modp_span(null, f))).reshape(-1, n, n)
+            bs = f.packed(mats[_linalg.modp_rank(mats, f) == n]).tolist()
+            out.extend(AutTriple(a_mat, b, rho) for b in sorted(tuple(map(tuple, b)) for b in bs))
+    return out
+
+
+def _unit_count(code):
+    gf, n = code.gf, code.n
+    f = _linalg.fq_arith(gf)
+    basis = f.index(right_nucleus_bruteforce(code).bruteforce_basis).reshape(-1, n * n)
+    return sum(int((_linalg.modp_rank(mats.reshape(-1, n, n), f) == n).sum()) for mats in _linalg.modp_span(basis, f))
+
+
+@pytest.mark.parametrize("p, e, n, m, k, h, eta, sub", COSET_CELLS.values(), ids=COSET_CELLS.keys())
+def test_group_is_its_members_times_the_right_nucleus_units(p, e, n, m, k, h, eta, sub):
+    gf = field_create(p, e, n)
+    eta = gf.generator if eta == "generator" else resolve_eta(gf, eta)
+    code = project_code(build_gtg(CodeParams(gf, m, k, 1, h, eta)), resolve_subspace(gf, sub, m))
+    group = aut_bruteforce(code)
+    assert ("gl", m) not in gf._misc_cache  # GL(m, q) is walked once and not kept
+    want = _per_a_reference(code)
+    assert list(group) == want and list(group) == want  # in order, and read twice
+    units = _unit_count(code)
+    assert len(group) == len(group.members) * units == len(want)
+    assert all(len(coset) == units for coset in group.cosets)
+    assert len(group.cosets) < len(group.members) or len(group.members) == 1
+    if e > 1:
+        assert {rho for rho, _, _ in group.members} == set(range(e))

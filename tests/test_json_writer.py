@@ -104,6 +104,9 @@ EDGES = {
     "1, True and 1.0 at one depth": [(1,), (True,), (1.0,), (1, True, 1.0), (True, 1.0, 1)],
     "1, True and 1.0 in nested tuples": [((1,),), ((True,),), ((1.0,),), {"a": ((0,),), "b": ((False,),)}],
     "tuples holding lists and dicts": [([1],), ([True],), ({"k": 1},), ({"k": True},)],
+    "(True, 0) and (1, 0) in one payload": [(True, 0), (1, 0), [(1, 0), (True, 0)], {"a": (1, 0), "b": (True, 0)},
+                                            ((True, 0), (1, 0)), [True, 0], [1, 0], (0, False), (0, 0)],
+    "all-int arrays": [(0,), [7], (1, -2, 2 ** 70), [[1, 2], (1, 2)], ((1, 2), (3, 4)), [1, 2.0], (1, None)],
 }
 
 

@@ -273,6 +273,7 @@ def test_enumerate_gl_matches_filtering_every_matrix(p, e, n):
     want = [tuple(entries[i * n:(i + 1) * n] for i in range(n))
             for entries in itertools.product(gf.fq_list(), repeat=n * n)]
     want = [mat for mat in want if _linalg.generic_rank([list(r) for r in mat], gf) == n]
+    assert list(enumerate_gl(gf, n, cache=False)) == want and ("gl", n) not in gf._misc_cache
     got = list(enumerate_gl(gf, n))
     assert got == want and len(got) == gl_order(gf.q, n)
     assert list(enumerate_gl(gf, n)) == want      # replayed from the cache
@@ -284,7 +285,7 @@ def test_aut_group_over_f81_with_odd_p_and_e_2():
     params = CodeParams(gf, 2, 1, 1, 1, gf.generator)
     S = subspace_poly(gf, [1, gf.generator])
     code = project_code(build_gtg(params), S)
-    group = aut_bruteforce(code)
+    group = list(aut_bruteforce(code))
     members = set(group)
     assert len(members) == len(group) and {t.rho for t in group} == {0, 1}
     # every triple maps the basis into the code: A X^rho B pairs to zero

@@ -565,10 +565,10 @@ def test_packed_stabilizers_match_the_unpacked_path(monkeypatch, m, n, dims):
             rows, pivots = fq_rref([[rng.randrange(2) for _ in range(m * n)] for _ in range(dim)], gf)
         code = RankCode(gf, m, [vec_mat(row, m, n) for row in rows])
         assert len(lefts) > chunk_len(dim * m * n) and len(lefts) % chunk_len(dim * m * n)
-        packed = [(a, [v.tolist() for v in null]) for a, null in code.right_stabilizers(lefts)]
+        packed = [(a, [v.tolist() for v in null]) for _, a, null in code.right_stabilizers(lefts)]
         with monkeypatch.context() as mp:
             mp.setattr(rankcode, "_packs", lambda q, width: False)
-            plain = [(a, [v.tolist() for v in null]) for a, null in code.right_stabilizers(lefts)]
+            plain = [(a, [v.tolist() for v in null]) for _, a, null in code.right_stabilizers(lefts)]
         assert packed == plain and len(packed) > 24
         assert packed[0][0] == lefts[0]  # A = I, rho = 0: the right nucleus
 

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from rankmetric import _linalg
 from rankmetric._linalg import fq_rank
 from rankmetric.errors import (
     DimensionCollapseError,
@@ -278,6 +279,28 @@ def test_adjoint_of_a_non_square_code(f81):
     # the transposed parity rows span the dual that a fresh solve gives
     fresh = RankCode(f81, 4, t.basis, n=3).parity_rows()
     assert fq_rank(t.parity_rows(), f81) == fq_rank(fresh, f81) == fq_rank(t.parity_rows() + fresh, f81)
+
+
+@pytest.mark.parametrize("pen, m", [((3, 1, 4), 3), ((2, 1, 5), 2), ((2, 2, 3), 2)], ids=["F81", "F32", "F64-over-F4"])
+def test_adjoint_seeds_its_parity_lazily(monkeypatch, pen, m):
+    # adjoint neither ranks the transposed basis nor solves a dual; the
+    # first parity_rows() call transposes the code's own rows, and those
+    # span the dual a fresh solve of the transpose gives
+    from rankmetric.gf import field_create
+    gf = field_create(*pen)
+    code = project_code(build_gtg(CodeParams(gf, m, 1, 1, 1, 0)), generic_subspace(gf, m))
+    calls = []
+    with monkeypatch.context() as mp:
+        for name in ("fq_rank", "modp_dual"):
+            mp.setattr(_linalg, name, lambda *a, _f=getattr(_linalg, name), _n=name: calls.append(_n) or _f(*a))
+        t = adjoint(code)
+        assert calls == [] and (t.m, t.n, t.dim) == (gf.n, m, code.dim)
+        rows = t.parity_rows()
+        assert calls == ["modp_dual"]  # the code's own dual, solved once
+        assert t.parity_rows() is rows and adjoint(code).parity_rows() == rows and calls == ["modp_dual"]
+    fresh = RankCode(gf, gf.n, t.basis, n=m).parity_rows()
+    assert len(rows) == len(fresh) == gf.n * m - code.dim
+    assert fq_rank(rows, gf) == fq_rank(fresh, gf) == fq_rank(rows + fresh, gf)
 
 
 def test_serialization_shape(f81):
