@@ -81,9 +81,17 @@ class AutGroup:
         return sum(len(self.cosets[c]) for _, _, c in self.members)
 
     def __iter__(self):
-        for rho, a_mat, c in self.members:
-            for b_mat in self.coset(c):
+        for rho, a_mat, bs in self.by_member():
+            for b_mat in bs:
                 yield AutTriple(a_mat, b_mat, rho)
+
+    def by_member(self, per_coset=None):
+        """Each member in order as (rho, A, xs): xs is ``per_coset[c]``
+        for its coset c, by default the coset's B's, made as the member
+        is read."""
+        get = self.coset if per_coset is None else per_coset.__getitem__
+        for rho, a_mat, c in self.members:
+            yield rho, a_mat, get(c)
 
     def coset(self, c):
         """The B's of coset c, in order, as tuples of row tuples of packed
@@ -123,30 +131,19 @@ def gl_order(q: int, n: int) -> int:
     return out
 
 
-def enumerate_gl(gf, n: int, guard: int = GL_GUARD_NORMALIZER, cache: bool = True):
-    """All of GL(n, q) in lexicographic row-major entry order: candidate
-    t = 0, 1, ..., q^(n^2) - 1 holds the base-q digits of t as entry
-    indices, the last entry's digit fastest, and the invertible ones are
-    kept.  With ``cache`` the list is kept on the field spec when it has
-    at most 2^18 elements; a list kept there is replayed either way."""
+def enumerate_gl(gf, n: int, guard: int = GL_GUARD_NORMALIZER):
+    """All of GL(n, q) in lexicographic row-major entry order, streamed:
+    candidate t = 0, 1, ..., q^(n^2) - 1 holds the base-q digits of t as
+    entry indices, the last entry's digit fastest, and the invertible
+    ones are yielded.  Nothing is kept, so each call walks GL again."""
     size = gl_order(gf.q, n)
     if size > guard:
         raise EnumerationGuardError(f"|GL({n},{gf.q})| = {size} exceeds guard {guard}")
-    key = ("gl", n)
-    if key in gf._misc_cache:
-        yield from gf._misc_cache[key]
-        return
-    collect = [] if cache and size <= GL_GUARD_AUT else None
     f = _linalg.fq_arith(gf)
     candidates = (digits[:, ::-1] for digits in _linalg.span_digits(n * n, gf.q, n * n))
     for mats in _invertibles(f, candidates, n):
         for mat in map(np.ndarray.tolist, f.packed(mats)):  # one at a time: a stack can be all of GL
-            mat = tuple(map(tuple, mat))
-            if collect is not None:
-                collect.append(mat)
-            yield mat
-    if collect is not None:
-        gf._misc_cache[key] = tuple(collect)
+            yield tuple(map(tuple, mat))
 
 
 def _invertibles(f, stacks, n):
@@ -268,8 +265,7 @@ def aut_bruteforce(code: RankCode, gl_guard: int = GL_GUARD_AUT) -> AutGroup:
             "its automorphism set is all of GL(m,q) x GL(n,q) x Aut(F_q) and is not enumerated")
     f = _linalg.fq_arith(gf)
     members, cosets, seen = [[] for _ in range(gf.e)], [], {}
-    gl = enumerate_gl(gf, code.m, gl_guard, cache=False)
-    for rho, a_mat, null in code.right_stabilizers(gl, range(gf.e)):
+    for rho, a_mat, null in code.right_stabilizers(enumerate_gl(gf, code.m, gl_guard), range(gf.e)):
         key = np.array(null).tobytes()
         if key not in seen:
             bs = np.concatenate(list(_invertibles(f, _linalg.modp_span(null, f), n)))
@@ -364,9 +360,9 @@ def _verdicts(group, forms, S):
     """The verdict of each triple, in order (see ``aut_report``), read
     off the forms of its member's coset; the m-side scalars of a member
     are kept per u until the next member."""
-    for _, a_mat, c in group.members:
+    for _, a_mat, coset_forms in group.by_member(forms):
         scalars = {}
-        for mono, a, u in forms[c]:
+        for mono, a, u in coset_forms:
             entry = {"n_side_monomial": mono, "a": a, "u": u}
             if mono:
                 if u not in scalars:

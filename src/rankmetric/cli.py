@@ -294,13 +294,13 @@ _ARRAYS, _INT = (list, tuple), frozenset([int])
 
 def _json_pieces(x, ind, out, memo, flush):
     """Append x's pieces to out (``ind``: a newline and x's indentation).
-    Each dict key's piece is made once per depth and kept in ``memo``.
-    An array whose entries are all plain ints (not bools: True == 1
-    hashes alike) is one piece, made with one join; such a tuple's text
-    is kept in ``memo`` too, keyed on the depth and the tuple itself, so
-    the memo holds the distinct matrix rows, not the matrices.  Any
-    other array calls ``flush`` between its items once out holds more
-    than FLUSH_PIECES pieces."""
+    Dict keys and closers are interned, one string each.  An array whose
+    entries are all plain ints (not bools: True == 1 hashes alike) is one
+    piece, made with one join; such a tuple's text is kept in ``memo``,
+    keyed on the depth and the tuple itself, so the memo holds the
+    distinct matrix rows, not the matrices.  Any other array calls
+    ``flush`` between its items once out holds more than FLUSH_PIECES
+    pieces."""
     if type(x) in _ARRAYS and x and _INT.issuperset(map(type, x)):
         key = (ind, x) if type(x) is tuple else None
         text = memo.get(key) if key else None
@@ -319,24 +319,16 @@ def _json_pieces(x, ind, out, memo, flush):
     elif isinstance(x, dict):
         inner = ind + "  "
         for i, (k, v) in enumerate(sorted(x.items())):
-            key = (inner, k, i > 0)
-            if key not in memo:
-                memo[key] = f"{',' if i else '{'}{inner}{json.encoder.encode_basestring_ascii(k)}: "
-            out.append(memo[key])
+            out.append(sys.intern(f"{',' if i else '{'}{inner}{json.encoder.encode_basestring_ascii(k)}: "))
             _json_pieces(v, inner, out, memo, flush)
-        out.append(ind + "}" if x else "{}")
+        out.append(sys.intern(ind + "}") if x else "{}")
     elif isinstance(x, (list, tuple, types.GeneratorType)):
         inner = ind + "  "
-        sep = "[" + inner
+        sep, comma = "[" + inner, "," + inner
         for v in x:
             out.append(sep)
-            sep = "," + inner
-            # a matrix row rendered before: its text, without a call
-            text = memo.get((inner, v)) if type(v) is tuple and _INT.issuperset(map(type, v)) else None
-            if text is None:
-                _json_pieces(v, inner, out, memo, flush)
-            else:
-                out.append(text)
+            sep = comma
+            _json_pieces(v, inner, out, memo, flush)
             if len(out) > FLUSH_PIECES:
                 flush()
         out.append("[]" if sep[0] == "[" else ind + "]")
@@ -432,9 +424,9 @@ def _triples_json(gf, group):
 
     def as_json(mat):
         return mat if gf.e == 1 else tuple(tuple(map(entry, row)) for row in mat)
-    for rho, a_mat, c in group.members:
+    for rho, a_mat, bs in group.by_member():
         a_json = as_json(a_mat)
-        for b_mat in group.coset(c):
+        for b_mat in bs:
             yield {"A": a_json, "B": as_json(b_mat), "rho": rho}
 
 
