@@ -30,7 +30,7 @@ S = subspace_poly(f16, [1, xi, f16.pow(xi, 2)])
 code = project_code(build_gtg(params), S)
 
 t0 = time.time()
-rep = aut_report(code, params, S)
+rep = aut_report(code, S)
 ts = rep["theta"]
 print(f"|Aut| = {rep['order']}  (search took {time.time() - t0:.2f}s)")
 print(f"Theta predicates: meets F_(q^ell)\\F_q = {ts.meets_subfield_outside_fq}, "
@@ -52,7 +52,7 @@ params2 = CodeParams(f81, m=3, k=1, s=1, h=2, eta=w)
 S2 = subspace_poly(f81, [1, w, f81.pow(w, 2)])
 code2 = project_code(build_gtg(params2), S2)
 t0 = time.time()
-rep2 = aut_report(code2, params2, S2)
+rep2 = aut_report(code2, S2)
 print(f"twisted h=2: |Aut| = {rep2['order']} ({time.time() - t0:.1f}s), "
       f"monomial fraction {rep2['monomial_fraction']}")
 sample = list(rep2["verdicts"])[0]  # verdicts are streamed: list() to index them

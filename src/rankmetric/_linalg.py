@@ -20,8 +20,9 @@ kernel every layer shares.  One elimination loop, three arithmetics.
   tests' slow reference for the kernel.
 * ``fq_*`` functions take rows of packed F_q elements of a field spec,
   map them to indices, run the kernel and map the results back, so
-  everything sorted, serialized or compared stays packed.  Span
-  membership is the dual test H v = 0 (``modp_dual``, ``fq_in_span``).
+  everything sorted, serialized or compared stays packed (``packed_mats``
+  for index matrices).  Span membership is the dual test H v = 0
+  (``modp_dual``).
 
 All canonical outputs (RREF, nullspace bases, span order) are
 deterministic.
@@ -41,7 +42,7 @@ __all__ = [
     "modp_rref", "modp_rank", "modp_nullspace", "modp_dual", "modp_inv", "modp_reduction",
     "modp_span", "span_digits",
     "generic_rref", "generic_rank", "generic_nullspace", "generic_inv",
-    "fq_rref", "fq_rank", "fq_inv", "fq_in_span", "fq_span",
+    "fq_rref", "fq_rank", "fq_inv", "fq_span", "packed_mats",
 ]
 
 
@@ -462,6 +463,15 @@ def _packed_rows(f, a):
     return [tuple(row) for row in f.packed(a).tolist()]
 
 
+def packed_mats(f, a):
+    """Index matrices as tuples of row tuples of packed elements: one
+    matrix (R, C) as one such tuple, a stack (k, R, C) as a list of k."""
+    a = np.asarray(a)
+    if a.ndim == 2:
+        return tuple(_packed_rows(f, a))
+    return [tuple(map(tuple, mat)) for mat in f.packed(a).tolist()]
+
+
 def fq_rref(rows, gf):
     if not rows:
         return [], []
@@ -477,14 +487,6 @@ def fq_rank(rows, gf):
 def fq_inv(rows, gf):
     f = fq_arith(gf)
     return _packed_rows(f, modp_inv(f.index(rows), f))
-
-
-def fq_in_span(rows, v, gf):
-    """Is the vector v in the row span of ``rows``?  It is iff v pairs to
-    zero with every row of the span's dual (``modp_dual``)."""
-    f = fq_arith(gf)
-    h = modp_dual(f.index(np.reshape(rows, (len(rows), len(v)))), f)
-    return not f.matmul(h, f.index(v)[:, None]).any()
 
 
 def fq_span(gf, basis):

@@ -6,13 +6,15 @@ of F_q (a power of x -> x^p) such that {A X^rho B : X in C} = C.
 Triples compose by (A1, B1, r1) o (A2, B2, r2) =
 (A1 A2^(r1), B2^(r1) B1, r1 + r2).
 
-The exhaustive search fixes the m-side: for each A in GL(m, q) and each
-rho, the set {B : A X^rho B in C for all X} is the nullspace of a
+The exhaustive search fixes the m-side: for each rho and each A in
+GL(m, q), the set {B : A X^rho B in C for all X} is the nullspace of a
 linear system over F_q (``RankCode.right_stabilizers``, whose A = I case
 is the right nucleus), so the whole group is found with
-|GL(m, q)| * |Aut(F_q)| solves instead of a product-group sweep.  For a
-linear bijective map, mapping a basis into the code already forces set
-equality, so invertible nullspace members are automorphisms outright.
+|GL(m, q)| * |Aut(F_q)| solves instead of a product-group sweep, on
+index matrices, one rho per solve (packed tuples only for the matrices
+handed out).  For a linear bijective map, mapping a basis into the
+code already forces set equality, so invertible nullspace members are
+automorphisms outright.
 
 The right nucleus N_r = {Y : C Y in C} fixes the shape of the group:
 the invertible B of one (rho, A) are empty or a coset B0 N_r^* of the
@@ -96,7 +98,7 @@ class AutGroup:
     def coset(self, c):
         """The B's of coset c, in order, as tuples of row tuples of packed
         F_q elements."""
-        return [tuple(map(tuple, b)) for b in _linalg.fq_arith(self.gf).packed(self.cosets[c]).tolist()]
+        return _linalg.packed_mats(_linalg.fq_arith(self.gf), self.cosets[c])
 
 
 def aut_identity(gf, m, n) -> AutTriple:
@@ -132,9 +134,9 @@ def gl_order(q: int, n: int) -> int:
 
 
 def enumerate_gl(gf, n: int, guard: int = GL_GUARD_NORMALIZER):
-    """All of GL(n, q) in lexicographic row-major entry order, streamed:
-    candidate t = 0, 1, ..., q^(n^2) - 1 holds the base-q digits of t as
-    entry indices, the last entry's digit fastest, and the invertible
+    """All of GL(n, q) as n x n entry-index arrays in lexicographic
+    row-major order, streamed: candidate t = 0, 1, ..., q^(n^2) - 1 holds
+    the base-q digits of t, the last entry's fastest, and the invertible
     ones are yielded.  Nothing is kept, so each call walks GL again."""
     size = gl_order(gf.q, n)
     if size > guard:
@@ -142,8 +144,7 @@ def enumerate_gl(gf, n: int, guard: int = GL_GUARD_NORMALIZER):
     f = _linalg.fq_arith(gf)
     candidates = (digits[:, ::-1] for digits in _linalg.span_digits(n * n, gf.q, n * n))
     for mats in _invertibles(f, candidates, n):
-        for mat in map(np.ndarray.tolist, f.packed(mats)):  # one at a time: a stack can be all of GL
-            yield tuple(map(tuple, mat))
+        yield from mats
 
 
 def _invertibles(f, stacks, n):
@@ -237,10 +238,10 @@ def normalizer_elements(nr_basis, gf, guard: int = GL_GUARD_NORMALIZER):
     out = []
     per_m = max(2, len(nr_basis)) * n * n
     for chunk in _linalg.stack_chunks(enumerate_gl(gf, n, guard), per_m):
-        ms = f.index(chunk)
+        ms = np.array(chunk)
         conj = f.matmul(f.matmul(ms[:, None], basis), _linalg.modp_inv(ms, f)[:, None])
         outside = f.matmul(conj.reshape(len(chunk), len(nr_basis), n * n), h.T).any(axis=(1, 2))
-        out.extend(m_ for m_, bad in zip(chunk, outside) if not bad)
+        out += _linalg.packed_mats(f, ms[~outside])
     return out
 
 
@@ -250,12 +251,11 @@ def normalizer_elements(nr_basis, gf, guard: int = GL_GUARD_NORMALIZER):
 
 def aut_bruteforce(code: RankCode, gl_guard: int = GL_GUARD_AUT) -> AutGroup:
     """The full automorphism group of the code as an ``AutGroup``, in
-    deterministic (rho, A, B) lexicographic order.  GL(m, q) is walked
-    once and not kept: each chunk of A is solved for every rho before the
-    next chunk is drawn, and the members of rho > 0 wait in their own
-    lists.  Equal B-spaces have equal canonical nullspace bases, so the
-    span of each distinct one is enumerated once; a member whose space
-    holds no invertible B is dropped."""
+    deterministic (rho, A, B) lexicographic order: GL(m, q) is walked as
+    index matrices once per rho, one rho per solve, and not kept.  Equal
+    B-spaces have equal canonical nullspace bases, so the span of each
+    distinct one is enumerated once; a member whose space holds no
+    invertible B is dropped."""
     gf, n = code.gf, code.n
     if n * n > 36:
         raise EnumerationGuardError(f"n^2 = {n * n} exceeds the 36 guard")
@@ -264,17 +264,18 @@ def aut_bruteforce(code: RankCode, gl_guard: int = GL_GUARD_AUT) -> AutGroup:
             f"code is {'the zero code' if not code.basis else 'the full matrix space'}; "
             "its automorphism set is all of GL(m,q) x GL(n,q) x Aut(F_q) and is not enumerated")
     f = _linalg.fq_arith(gf)
-    members, cosets, seen = [[] for _ in range(gf.e)], [], {}
-    for rho, a_mat, null in code.right_stabilizers(enumerate_gl(gf, code.m, gl_guard), range(gf.e)):
-        key = np.array(null).tobytes()
-        if key not in seen:
-            bs = np.concatenate(list(_invertibles(f, _linalg.modp_span(null, f), n)))
-            seen[key] = len(cosets) if len(bs) else None
-            if len(bs):  # sorted as the packed matrices sort: index order is F_q's order
-                cosets.append(bs[np.lexsort(bs.reshape(len(bs), n * n).T[::-1])].astype(np.min_scalar_type(f.q - 1)))
-        if seen[key] is not None:
-            members[rho].append((rho, a_mat, seen[key]))
-    return AutGroup(gf, [member for per_rho in members for member in per_rho], cosets)
+    members, cosets, seen = [], [], {}
+    for rho in range(gf.e):
+        for a_mat, null in code.right_stabilizers(enumerate_gl(gf, code.m, gl_guard), rho):
+            key = np.array(null).tobytes()
+            if key not in seen:
+                bs = np.concatenate(list(_invertibles(f, _linalg.modp_span(null, f), n)))
+                seen[key] = len(cosets) if len(bs) else None
+                if len(bs):  # sorted as the packed matrices sort: index order is F_q's order
+                    cosets.append(bs[np.lexsort(bs.reshape(len(bs), n * n).T[::-1])].astype(np.min_scalar_type(f.q - 1)))
+            if seen[key] is not None:
+                members.append((rho, _linalg.packed_mats(f, a_mat), seen[key]))
+    return AutGroup(gf, members, cosets)
 
 
 # ----------------------------------------------------------------------------
@@ -302,8 +303,8 @@ def generate_known_automorphisms(params: CodeParams, S: SubspaceSpec, code: Rank
             if None not in rows:
                 mside.append(rows)
     f = _linalg.fq_arith(gf)
-    duals = [(rho, a_mat, _linalg.modp_dual(null, f).T)
-             for rho, a_mat, null in code.right_stabilizers(mside, range(gf.e))]
+    duals = [(rho, _linalg.packed_mats(f, a_mat), _linalg.modp_dual(null, f).T)
+             for rho in range(gf.e) for a_mat, null in code.right_stabilizers(f.index(mside), rho)]
     frobs = f.index([poly_to_matrix(LinearizedPoly.monomial(gf, gf.one, u)) for u in range(n)])
     mults = f.index([poly_to_matrix(LinearizedPoly.monomial(gf, b, 0)) for b in gf.power_basis()])
     out = []
@@ -312,8 +313,7 @@ def generate_known_automorphisms(params: CodeParams, S: SubspaceSpec, code: Rank
             bs = f.matmul(frob, words.reshape(-1, n, n)).reshape(-1, n * n)
             for rho, a_mat, h in duals:
                 keep = bs.any(axis=1) & ~f.matmul(bs, h).any(axis=1)
-                out.extend(AutTriple(a_mat, tuple(map(tuple, b_mat)), rho)
-                           for b_mat in f.packed(bs[keep]).reshape(-1, n, n).tolist())
+                out.extend(AutTriple(a_mat, b_mat, rho) for b_mat in _linalg.packed_mats(f, bs[keep].reshape(-1, n, n)))
     return sorted(out, key=lambda t: (t.rho, t.A, t.B))
 
 
@@ -321,8 +321,7 @@ def generate_known_automorphisms(params: CodeParams, S: SubspaceSpec, code: Rank
 # report
 # ----------------------------------------------------------------------------
 
-def aut_report(code: RankCode, params: CodeParams = None, S: SubspaceSpec = None,
-               gl_guard: int = GL_GUARD_AUT) -> dict:
+def aut_report(code: RankCode, S: SubspaceSpec = None, gl_guard: int = GL_GUARD_AUT) -> dict:
     """Brute-force group plus Theta predicates and per-triple monomial
     verdicts on the n-side (and the twisted-scalar check on the m-side).
 

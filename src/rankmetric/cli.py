@@ -40,11 +40,11 @@ from .linpoly import LinearizedPoly, subspace_poly, reduce_mod_theta, poly_from_
 from .rankcode import (
     ENUM_GUARD,
     CodeParams,
+    RankCode,
     apply_equivalence,
     build_gtg,
     is_mrd,
     mat_identity,
-    mat_vec,
     project_code,
     rank_weight_distribution,
 )
@@ -377,7 +377,7 @@ def cmd_nuclei(config) -> int:
     # internal consistency: both nuclei must contain the F_q scalars, that
     # is (being F_q-spans) the identity
     for rep, size in ((middle, params.m), (right, gf.n)):
-        if not _linalg.fq_in_span([mat_vec(b) for b in rep.bruteforce_basis], mat_vec(mat_identity(gf, size)), gf):
+        if not RankCode(gf, size, rep.bruteforce_basis, n=size, independent=True).contains(mat_identity(gf, size)):
             sys.stderr.write("selfcheck failure: nucleus misses a scalar\n")
             return 4
     mid_field = nuclei.nucleus_field_structure(middle, gf)
@@ -391,7 +391,7 @@ def cmd_nuclei(config) -> int:
 
 def _aut_payload(config):
     guards, gf, params, S, code, payload = _instance(config)
-    report = autgroup.aut_report(code, params, S, gl_guard=guards["max_gl"])
+    report = autgroup.aut_report(code, S, gl_guard=guards["max_gl"])
     ts = report.get("theta")
     payload.update({
         "summary": {
@@ -649,7 +649,7 @@ def run_selfcheck() -> int:
 
     def histogram_paths():
         import numpy as np
-        from .rankcode import RankCode, _hist_by_codewords, _hist_by_subspaces
+        from .rankcode import _hist_by_codewords, _hist_by_subspaces
         f2_code = project_code(build_gtg(CodeParams(f64, 5, 2, 1, 1, 0)),
                                subspace_poly(f64, [f64.pow(f64.generator, i) for i in range(5)]))
         f729 = field_create(3, 2, 3)
@@ -672,10 +672,10 @@ def run_selfcheck() -> int:
         f, n = _linalg.fq_arith(gf), code.n
         want = []  # per rho and A: the sorted invertibles of its B-space's span
         for rho in range(gf.e):
-            for _, a_mat, null in code.right_stabilizers(autgroup.enumerate_gl(gf, code.m), (rho,)):
+            for a_mat, null in code.right_stabilizers(autgroup.enumerate_gl(gf, code.m), rho):
                 mats = np.concatenate(list(_linalg.modp_span(null, f))).reshape(-1, n, n)
-                bs = sorted(tuple(map(tuple, b)) for b in f.packed(mats[_linalg.modp_rank(mats, f) == n]).tolist())
-                want += [autgroup.AutTriple(a_mat, b, rho) for b in bs]
+                bs = sorted(_linalg.packed_mats(f, mats[_linalg.modp_rank(mats, f) == n]))
+                want += [autgroup.AutTriple(_linalg.packed_mats(f, a_mat), b, rho) for b in bs]
         group = autgroup.aut_bruteforce(code)
         assert list(group) == want and len(group) == len(want), (len(group), len(want))
     _check("automorphism group held as cosets equals the per-A span reference on an F_4 cell",

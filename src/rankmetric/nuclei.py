@@ -53,7 +53,6 @@ from .rankcode import (
     RankCode,
     adjoint,
     build_gtg,
-    mat_identity,
     mat_vec,
     project_code,
     vec_mat,
@@ -325,7 +324,7 @@ def middle_nucleus_bruteforce(code: RankCode) -> NucleusReport:
     vectors on the last information set) is one RREF of the Y^T with
     their columns reversed, read back reversed."""
     gf, m = code.gf, code.m
-    [(_, _, ys)] = adjoint(code).right_stabilizers([mat_identity(gf, code.n)])
+    [(_, ys)] = adjoint(code).right_stabilizers([np.eye(code.n, dtype=np.int64)])
     zs = np.swapaxes(np.reshape(ys, (-1, m, m)), 1, 2).reshape(-1, m * m)
     rref, _ = _linalg.modp_rref(zs[:, ::-1], _linalg.fq_arith(gf))
     return _report("middle", gf, rref[::-1, ::-1], m)
@@ -333,7 +332,7 @@ def middle_nucleus_bruteforce(code: RankCode) -> NucleusReport:
 
 def right_nucleus_bruteforce(code: RankCode) -> NucleusReport:
     """{Y : X Y in the code for every X}: the right stabilizer of A = I."""
-    [(_, _, basis)] = code.right_stabilizers([mat_identity(code.gf, code.m)])
+    [(_, basis)] = code.right_stabilizers([np.eye(code.m, dtype=np.int64)])
     return _report("right", code.gf, basis, code.n)
 
 

@@ -222,22 +222,19 @@ class RankCode:
         h = f.index(self.parity_rows()).reshape(-1, self.m * self.n)
         return not f.matmul(h, f.index(mat_vec(mat))[:, None]).any()
 
-    def right_stabilizers(self, lefts, rhos=(0,)):
-        """(rho, A, index basis of {B : A X^rho B in the code for every X})
-        for each m x m matrix A of ``lefts`` and each rho of ``rhos``,
-        skipping every pair whose space is zero: ``lefts`` is walked once,
-        a chunk at a time, and every rho of a chunk is solved before the
-        next chunk is drawn.  B pairs to zero with (A X^rho)^T H for every
-        basis X and dual row H, one row per (X, H), X-major; the systems of
-        a chunk of A are built and solved as one stack under STACK_BUDGET.
-        Over F_2 each row is built as one ``BitField`` word, bit j n + k
-        holding entry (j, k): the (A X^rho)^T entries times the parity
-        words, whose row (j, i) is row i of H as a word shifted by j n,
-        so a chunk is sized by its m n dim entries per A.
-        A = I, rho = 0 gives the right nucleus."""
+    def right_stabilizers(self, lefts, rho=0):
+        """(A, index basis of {B : A X^rho B in the code for every X}) for
+        each m x m entry-index matrix A of ``lefts``, in order, skipping
+        every A whose space is zero; one rho per solve.  B pairs to zero
+        with (A X^rho)^T H for every basis X and dual row H, one row per
+        (X, H), X-major; the systems of a chunk of A are built and solved
+        as one stack under STACK_BUDGET.  Over F_2 each row is built as one
+        ``BitField`` word, bit j n + k holding entry (j, k): the (A X^rho)^T
+        entries times the parity words, whose row (j, i) is row i of H as a
+        word shifted by j n, so a chunk is sized by its m n dim entries per
+        A.  A = I (``np.eye``), rho = 0 gives the right nucleus."""
         f, m, n, dim = _linalg.fq_arith(self.gf), self.m, self.n, self.dim
-        xss = [(rho, f.index(np.reshape([mat_frobenius_p(self.gf, x, rho) for x in self.basis], (dim, m, n))))
-               for rho in rhos]
+        xs = f.index(np.reshape([mat_frobenius_p(self.gf, x, rho) for x in self.basis], (dim, m, n)))
         hr = f.index(self.parity_rows()).reshape(-1, m, n)
         nh = len(hr)
         if _packs(self.gf.q, n * n):
@@ -246,14 +243,12 @@ class RankCode:
         else:
             kernel, per_a = f, dim * nh * n * n
         for chunk in _linalg.stack_chunks(lefts, per_a):
-            a_idx = f.index(chunk)[:, None]
-            for rho, xs in xss:
-                axt = np.swapaxes(f.matmul(a_idx, xs), -1, -2)
-                if kernel is f:
-                    systems = f.matmul(axt[:, :, None], hr).reshape(len(chunk), dim * nh, n * n)
-                else:
-                    systems = kernel.matmul(axt.reshape(len(chunk), dim, n * m), hw).reshape(len(chunk), dim * nh, 1)
-                yield from ((rho, a, null) for a, null in zip(chunk, _linalg.modp_nullspace(systems, kernel)) if null)
+            axt = np.swapaxes(f.matmul(np.array(chunk)[:, None], xs), -1, -2)
+            if kernel is f:
+                systems = f.matmul(axt[:, :, None], hr).reshape(len(chunk), dim * nh, n * n)
+            else:
+                systems = kernel.matmul(axt.reshape(len(chunk), dim, n * m), hw).reshape(len(chunk), dim * nh, 1)
+            yield from ((a, null) for a, null in zip(chunk, _linalg.modp_nullspace(systems, kernel)) if null)
 
     def codewords(self, include_zero=True, guard=ENUM_GUARD):
         """Stream all codewords in the ``_linalg.fq_span`` odometer order

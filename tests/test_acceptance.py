@@ -319,7 +319,7 @@ def test_c09_automorphism_necessity(grid):
              ("q3-n4-m3-k1-ns-h1", "q2-n4-m3-k1")]
     assert len(cases) == 2
     for inst in cases:
-        rep = aut_report(inst.code, inst.params, inst.S)
+        rep = aut_report(inst.code, inst.S)
         triples = list(rep["triples"])
         if not triples:
             failures.append(f"{inst.name}: empty automorphism set")

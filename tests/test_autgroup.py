@@ -49,7 +49,7 @@ def q2n4_report():
     params = CodeParams(f16, 3, 1, 1, 0, 0)
     S = generic_subspace(f16, 3)
     code = project_code(build_gtg(params), S)
-    return f16, params, S, code, aut_report(code, params, S)
+    return f16, params, S, code, aut_report(code, S)
 
 
 # -- theta sets -----------------------------------------------------------------
@@ -121,7 +121,7 @@ def test_normalizer_of_the_full_matrix_algebra_is_whole_gl():
     f9 = field_create(3, 1, 2)
     units = [tuple(tuple(int((i, j) == cell) for j in range(2)) for i in range(2))
              for cell in [(0, 0), (0, 1), (1, 0), (1, 1)]]
-    assert normalizer_elements(units, f9) == list(enumerate_gl(f9, 2))
+    assert normalizer_elements(units, f9) == _linalg.packed_mats(_linalg.fq_arith(f9), list(enumerate_gl(f9, 2)))
 
 
 def test_normalizer_of_field_multiplications(f16):
@@ -352,7 +352,7 @@ def test_streamed_verdicts_match_a_per_triple_reference(p, e, n, m, k, h, eta, s
     gf = field_create(p, e, n)
     params = CodeParams(gf, m, k, 1, h, resolve_eta(gf, eta))
     S = resolve_subspace(gf, sub, m)
-    rep = aut_report(project_code(build_gtg(params), S), params, S)
+    rep = aut_report(project_code(build_gtg(params), S), S)
     assert isinstance(rep["verdicts"], types.GeneratorType)
     want = []
     for t in rep["triples"]:
@@ -365,8 +365,8 @@ def test_streamed_verdicts_match_a_per_triple_reference(p, e, n, m, k, h, eta, s
 
 
 # (p, e, n, m, k, h, eta, subspace): the six seed-0 aut-exhaustive ops,
-# the C4 cell q3-n4-m3-k1-ns-h1 (right nucleus of order 81) and an e = 2
-# cell over F_9 (both rho = 0 and rho = 1 hold members)
+# the C4 cell q3-n4-m3-k1-ns-h1 (right nucleus of order 81), an e = 2
+# cell over F_9 and an e = 3 cell over F_8 (every rho holds members)
 COSET_CELLS = {
     "aut-00": (2, 1, 6, 3, 2, 0, "0", "generic:0"),
     "aut-01": (2, 1, 5, 3, 1, 0, "0", "generic:1"),
@@ -376,6 +376,7 @@ COSET_CELLS = {
     "aut-05": (2, 2, 3, 2, 1, 0, "0", "generic:3"),
     "C4": (3, 1, 4, 3, 1, 1, "nonsquare-min", "generic:0"),
     "F9^2": (3, 2, 2, 2, 1, 1, "generator", "generic:0"),
+    "F8^2": (2, 3, 2, 2, 1, 1, "0", "generic:0"),
 }
 
 
@@ -386,10 +387,10 @@ def _per_a_reference(code):
     f = _linalg.fq_arith(gf)
     out = []
     for rho in range(gf.e):
-        for _, a_mat, null in code.right_stabilizers(enumerate_gl(gf, code.m), (rho,)):
+        for a_mat, null in code.right_stabilizers(enumerate_gl(gf, code.m), rho):
             mats = np.concatenate(list(_linalg.modp_span(null, f))).reshape(-1, n, n)
-            bs = f.packed(mats[_linalg.modp_rank(mats, f) == n]).tolist()
-            out.extend(AutTriple(a_mat, b, rho) for b in sorted(tuple(map(tuple, b)) for b in bs))
+            bs = _linalg.packed_mats(f, mats[_linalg.modp_rank(mats, f) == n])
+            out.extend(AutTriple(_linalg.packed_mats(f, a_mat), b, rho) for b in sorted(bs))
     return out
 
 

@@ -85,8 +85,9 @@ def test_fq_in_span_matches_enumerated_span(fq_field):
     span = set(_linalg.fq_span(gf, basis))
     probes = list(span) + _random_vectors(gf, rng, 60, 4)
     assert any(v not in span for v in probes)
+    code = RankCode(gf, 1, [(v,) for v in basis], n=4)  # the span as a code of 1 x 4 matrices
     for v in probes:
-        assert _linalg.fq_in_span(basis, v, gf) == (v in span)
+        assert code.contains((v,)) == (v in span)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -273,9 +274,11 @@ def test_enumerate_gl_matches_filtering_every_matrix(p, e, n):
     want = [tuple(entries[i * n:(i + 1) * n] for i in range(n))
             for entries in itertools.product(gf.fq_list(), repeat=n * n)]
     want = [mat for mat in want if _linalg.generic_rank([list(r) for r in mat], gf) == n]
+    f = _linalg.fq_arith(gf)
     got = list(enumerate_gl(gf, n))
-    assert got == want and len(got) == gl_order(gf.q, n)
-    assert list(enumerate_gl(gf, n)) == want
+    assert all(mat.shape == (n, n) for mat in got)
+    assert _linalg.packed_mats(f, got) == want and len(got) == gl_order(gf.q, n)
+    assert _linalg.packed_mats(f, list(enumerate_gl(gf, n))) == want
 
 
 def test_aut_group_over_f81_with_odd_p_and_e_2():

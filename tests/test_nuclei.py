@@ -2,10 +2,11 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 from rankmetric import rankcode
-from rankmetric._linalg import chunk_len, fq_rref
+from rankmetric._linalg import chunk_len, fq_arith, fq_rref, packed_mats
 from rankmetric.autgroup import enumerate_gl
 from rankmetric.cli import _guards, resolve_instance
 from rankmetric.errors import HypothesisNotMetError, OneNotInSError
@@ -557,20 +558,21 @@ PACKED_CELLS = [(3, 5, (14, 13)), (4, 4, (15,))]
 def test_packed_stabilizers_match_the_unpacked_path(monkeypatch, m, n, dims):
     # the systems built as BitField words against PrimeField(2) entry rows
     gf = field_create(2, 1, n)
+    f = fq_arith(gf)
     rng = random.Random(f"packed-{m}-{n}")
-    lefts = [mat_identity(gf, m), *enumerate_gl(gf, m)]
+    lefts = [np.eye(m, dtype=np.int64), *enumerate_gl(gf, m)]
     for dim in dims:
         rows, pivots = [], ()
         while len(pivots) < dim:
             rows, pivots = fq_rref([[rng.randrange(2) for _ in range(m * n)] for _ in range(dim)], gf)
         code = RankCode(gf, m, [vec_mat(row, m, n) for row in rows])
         assert len(lefts) > chunk_len(dim * m * n) and len(lefts) % chunk_len(dim * m * n)
-        packed = [(a, [v.tolist() for v in null]) for _, a, null in code.right_stabilizers(lefts)]
+        packed = [(packed_mats(f, a), [v.tolist() for v in null]) for a, null in code.right_stabilizers(lefts)]
         with monkeypatch.context() as mp:
             mp.setattr(rankcode, "_packs", lambda q, width: False)
-            plain = [(a, [v.tolist() for v in null]) for _, a, null in code.right_stabilizers(lefts)]
+            plain = [(packed_mats(f, a), [v.tolist() for v in null]) for a, null in code.right_stabilizers(lefts)]
         assert packed == plain and len(packed) > 24
-        assert packed[0][0] == lefts[0]  # A = I, rho = 0: the right nucleus
+        assert packed[0][0] == mat_identity(gf, m)  # A = I, rho = 0: the right nucleus
 
 
 def _field_structure_by_enumeration(basis, gf):
