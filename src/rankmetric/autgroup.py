@@ -44,6 +44,7 @@ from .errors import AnsatzMismatchError, EnumerationGuardError
 from .linpoly import LinearizedPoly, SubspaceSpec, matrix_to_poly, poly_to_matrix
 from .nuclei import mside_twisted_scalar, right_nucleus_bruteforce, smallest_containing_subfield
 from .rankcode import (
+    GL_GUARD_AUT,
     RankCode,
     CodeParams,
     build_gtg,
@@ -53,7 +54,6 @@ from .rankcode import (
     project_code,
 )
 
-GL_GUARD_AUT = 1 << 18
 GL_GUARD_NORMALIZER = 1 << 26
 
 

@@ -501,3 +501,9 @@ def field_create(p: int, e: int, n: int, modulus=None, *, max_order: int = MAX_F
     order), so repeated runs agree.
     """
     return FieldSpec(p, e, n, modulus, max_order=max_order)
+
+
+def subfield_fq_basis(gf, ell):
+    """(1, g, ..., g^(ell-1)): an F_q-basis of F_{q^ell}."""
+    g = gf.subfield_generator(ell)
+    return tuple(gf.pow(g, t) for t in range(ell))

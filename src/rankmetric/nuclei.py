@@ -41,6 +41,7 @@ from .errors import (
     HypothesisNotMetError,
     OneNotInSError,
 )
+from .gf import subfield_fq_basis
 from .linpoly import (
     LinearizedPoly,
     SubspaceSpec,
@@ -120,12 +121,6 @@ def smallest_containing_subfield(S: SubspaceSpec) -> int:
         if all(gf.frobenius(a, ell) == a for a in S.alphas):
             return ell
     return gf.n
-
-
-def subfield_fq_basis(gf, ell):
-    """(1, g, ..., g^(ell-1)): an F_q-basis of F_{q^ell}."""
-    g = gf.subfield_generator(ell)
-    return tuple(gf.pow(g, t) for t in range(ell))
 
 
 # ----------------------------------------------------------------------------

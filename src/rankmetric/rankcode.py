@@ -56,6 +56,7 @@ from .errors import (
 from .linpoly import LinearizedPoly, SubspaceSpec, _matvec
 
 ENUM_GUARD = 1 << 22
+GL_GUARD_AUT = 1 << 18
 
 
 # ----------------------------------------------------------------------------

@@ -390,7 +390,7 @@ def test_nucleus_orders_are_equivalence_invariants(f81):
     code = project_code(build_gtg(CodeParams(f81, 3, 1, 1, 2, xi)), S)
     base_m = middle_nucleus_bruteforce(code).bruteforce_order
     base_r = right_nucleus_bruteforce(code).bruteforce_order
-    from rankmetric.cli import _random_gl
+    from rankmetric.selfcheck import _random_gl
     for _ in range(3):
         A, B = _random_gl(f81, 3, rng), _random_gl(f81, 4, rng)
         moved = apply_equivalence(code, A, B)

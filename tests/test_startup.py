@@ -1,8 +1,11 @@
 """What importing the package and the CLI does to a fresh interpreter:
 ``import rankmetric`` is lazy (no submodule, no numpy, no environment
 change), ``import rankmetric.cli`` runs numpy with one OpenBLAS thread
-unless the caller chose a count, and the CLI's 2.75 MB ``aut`` output
-adds little to the process's peak memory."""
+unless the caller chose a count, each CLI verb imports only the modules
+it runs (``nuclei``, ``autgroup`` and ``selfcheck`` are loaded by the
+verbs that need them, read from ``-X importtime`` through the
+benchmark's entry point ``python -m rankmetric.cli``), and the CLI's
+2.75 MB ``aut`` output adds little to the process's peak memory."""
 
 import json
 import os
@@ -36,15 +39,35 @@ EXPORTS = [
 ]
 
 
-def _child(code, **env):
-    """Run ``code`` in a fresh interpreter with ``src`` on the path and
-    OPENBLAS_NUM_THREADS unset unless given; returns its JSON stdout."""
+def _run(args, **env):
+    """Run ``python ARGS`` in a fresh interpreter with ``src`` on the path
+    and OPENBLAS_NUM_THREADS unset unless given; it must exit 0."""
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+    proc = subprocess.run([sys.executable, *args], env={**base, **env},
                           capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    return proc
+
+
+def _child(code, **env):
+    """Run ``code`` as ``_run`` does; returns its JSON stdout."""
+    return json.loads(_run(["-c", code], **env).stdout)
+
+
+def _imported(*args):
+    """The names of the modules ``python -X importtime ARGS`` imports,
+    read from its stderr.  ``-X importtime`` reports a module loaded by
+    an import statement, but not a submodule that ``from package import
+    submodule`` loads."""
+    lines = _run(["-X", "importtime", *args]).stderr.splitlines()
+    names = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+    assert "rankmetric.rankcode" in names, lines[-20:]
+    return names
+
+
+LAZY = {"rankmetric.nuclei", "rankmetric.autgroup", "rankmetric.selfcheck"}
+INSTANCE = "--p 2 --e 1 --n 6 --m 3 --k 1 --s 1 --h 1".split()
 
 
 CLI_THREADS = """
@@ -90,6 +113,41 @@ def test_star_import_resolves_every_export():
         rankmetric.no_such_name
 
 
+def test_cli_import_loads_no_verb_module():
+    # the sys.modules check also sees what ``from . import nuclei`` would load
+    code = "import json, sys, rankmetric.cli; print(json.dumps(sorted(sys.modules)))"
+    assert not LAZY & _imported("-c", code)
+    assert not LAZY & set(_child(code))
+
+
+@pytest.mark.parametrize("subspace", ["generic:0", "subfield:3"])
+def test_construct_loads_no_nuclei_autgroup_or_selfcheck(subspace):
+    assert not (LAZY | {"csv"}) & _imported("-m", "rankmetric.cli", "construct", *INSTANCE,
+                                            "--subspace", subspace)
+
+
+def test_nuclei_and_sweep_load_nuclei_but_not_autgroup(tmp_path):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"grid": {"p": [2], "e": [1], "n": [4], "m": [2], "k": [1], "s": [1],
+                                           "h": [0], "eta": ["0"], "subspace": ["generic:0"]}}))
+    nuclei = _imported("-m", "rankmetric.cli", "nuclei", *INSTANCE, "--subspace", "subfield:3")
+    sweep = _imported("-m", "rankmetric.cli", "sweep", "--config", str(config))
+    for names in (nuclei, sweep):
+        assert "rankmetric.nuclei" in names and not {"rankmetric.autgroup", "rankmetric.selfcheck"} & names
+    assert "csv" in sweep and "csv" not in nuclei
+
+
+def test_aut_loads_nuclei_and_autgroup():
+    names = _imported("-m", "rankmetric.cli", "aut", *"--p 2 --e 1 --n 3 --m 2 --k 1 --s 1 --h 1".split())
+    assert {"rankmetric.nuclei", "rankmetric.autgroup"} <= names and "rankmetric.selfcheck" not in names
+
+
+def test_selfcheck_loads_its_module_and_not_a_second_cli():
+    # cli runs as __main__; importing rankmetric.cli would compile and run it again
+    names = _imported("-m", "rankmetric.cli", "selfcheck")
+    assert "rankmetric.selfcheck" in names and "rankmetric.cli" not in names
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status to read VmHWM from")
 def test_aut_output_streams_without_a_copy_of_the_group():
     # the F_{7^3}, m = 2 group: 6,156 triples and verdicts, 2.75 MB of JSON.
@@ -122,9 +180,11 @@ def test_aut_holds_the_group_once():
     # distinct B, streamed verdicts and slotted triples at 2.43 MB.  The
     # group held as 18 members over 3 cosets of the 342 right-nucleus
     # units, with GL(2, 7) walked once and not kept, holds it at 1.16 MB:
-    # the stacked solves' temporaries.
+    # the stacked solves' temporaries.  The verb's modules are imported
+    # first, so compiling them stays outside the measured peak.
     out = _child("""
 import json, os, sys, tracemalloc
+import rankmetric.autgroup, rankmetric.nuclei
 import rankmetric.cli as cli
 
 tracemalloc.start()
