@@ -35,13 +35,15 @@ the n-side map modulo X^(q^ell) - X.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _linalg
 from .errors import AnsatzMismatchError, EnumerationGuardError
-from .linpoly import LinearizedPoly, SubspaceSpec, matrix_to_poly, poly_to_matrix
+from .linpoly import LinearizedPoly, SubspaceSpec, matrix_to_poly, poly_from_values, poly_to_matrix
 from .nuclei import mside_twisted_scalar, right_nucleus_bruteforce, smallest_containing_subfield
 from .rankcode import (
     GL_GUARD_AUT,
@@ -83,17 +85,9 @@ class AutGroup:
         return sum(len(self.cosets[c]) for _, _, c in self.members)
 
     def __iter__(self):
-        for rho, a_mat, bs in self.by_member():
-            for b_mat in bs:
-                yield AutTriple(a_mat, b_mat, rho)
-
-    def by_member(self, per_coset=None):
-        """Each member in order as (rho, A, xs): xs is ``per_coset[c]``
-        for its coset c, by default the coset's B's, made as the member
-        is read."""
-        get = self.coset if per_coset is None else per_coset.__getitem__
         for rho, a_mat, c in self.members:
-            yield rho, a_mat, get(c)
+            for b_mat in self.coset(c):
+                yield AutTriple(a_mat, b_mat, rho)
 
     def coset(self, c):
         """The B's of coset c, in order, as tuples of row tuples of packed
@@ -204,19 +198,35 @@ def theta_set(polys, ell: int, gf) -> ThetaSet:
 # monomial form checks
 # ----------------------------------------------------------------------------
 
+def _residues(phi: LinearizedPoly, ell: int):
+    """phi mod X^(q^ell) - X: its coefficients with exponents folded mod ell."""
+    return [functools.reduce(phi.gf.add, phi.coeffs[u::ell], 0) for u in range(ell)]
+
+
 def check_monomial_form(phi: LinearizedPoly, ell: int):
     """Reduce phi mod X^(q^ell) - X (fold exponents mod ell) and test for
     a single nonzero residue coefficient.  Returns (is_monomial, a, u)."""
-    gf = phi.gf
-    residues = [0] * ell
-    for i, c in enumerate(phi.coeffs):
-        if c:
-            residues[i % ell] = gf.add(residues[i % ell], c)
-    nonzero = [(u, a) for u, a in enumerate(residues) if a]
-    if len(nonzero) != 1:
-        return False, None, None
-    u, a = nonzero[0]
-    return True, a, u
+    nonzero = [(True, a, u) for u, a in enumerate(_residues(phi, ell)) if a]
+    return nonzero[0] if len(nonzero) == 1 else (False, None, None)
+
+
+def monomial_forms(gf, cosets, ell: int):
+    """``check_monomial_form(matrix_to_poly(gf, B), ell)`` of each B of each
+    coset (index stacks (k, n, n)), by one ``matmul`` per coset, as the
+    residues are F_q-linear in B's entries.  Row (i, j) of the n^2 x (ell n)
+    map is xi^j times the residues w_iu of xi^i -> 1 (times x -> xi, j times)."""
+    f, n, basis = _linalg.fq_arith(gf), gf.n, gf.power_basis()
+    w = f.index([[gf.vec_repr(r) for r in _residues(poly_from_values(gf, basis, [int(t == i) for t in range(n)]), ell)]
+                 for i in range(n)])
+    by_xi = f.index(poly_to_matrix(LinearizedPoly.monomial(gf, gf.generator, 0)))
+    rows = itertools.accumulate(range(n - 1), lambda r, _: f.matmul(r, by_xi), initial=w)
+    fold = np.stack(list(rows), axis=1).reshape(n * n, ell * n)
+    out = []
+    for bs in cosets:
+        res = f.packed(f.matmul(bs.reshape(len(bs), n * n), fold)).reshape(len(bs), ell, n)
+        out.append([(True, gf.from_vec(blocks[nz.index(True)]), nz.index(True)) if sum(nz) == 1 else (False, None, None)
+                    for blocks, nz in zip(res.tolist(), res.any(axis=2).tolist())])
+    return out
 
 
 # ----------------------------------------------------------------------------
@@ -328,8 +338,8 @@ def aut_report(code: RankCode, S: SubspaceSpec = None, gl_guard: int = GL_GUARD_
     ``triples`` is the ``AutGroup``.  ``verdicts`` is a generator over
     its triples, in order: one dict {"n_side_monomial", "a", "u"}, plus
     "m_side_scalar" when the n-side is monomial, made as it is read (call
-    ``list`` to index it).  The monomial forms are computed once per
-    distinct coset, and ``monomial_fraction`` is counted from them."""
+    ``list`` to index it).  ``monomial_forms`` computes the forms by one
+    product per distinct coset; ``monomial_fraction`` is counted from them."""
     gf = code.gf
     group = aut_bruteforce(code, gl_guard)
     report = {"order": len(group), "triples": group}
@@ -347,8 +357,7 @@ def aut_report(code: RankCode, S: SubspaceSpec = None, gl_guard: int = GL_GUARD_
         ts = None
         report["theta"] = None
         report["ansatz_mismatch"] = True
-    forms = [[check_monomial_form(matrix_to_poly(gf, b), ell) for b in group.coset(c)]
-             for c in range(len(group.cosets))]
+    forms = monomial_forms(gf, group.cosets, ell)
     monomials = [sum(mono for mono, _, _ in coset) for coset in forms]
     report["verdicts"] = _verdicts(group, forms, S)
     report["monomial_fraction"] = sum(monomials[c] for _, _, c in group.members) / len(group)
@@ -359,9 +368,9 @@ def _verdicts(group, forms, S):
     """The verdict of each triple, in order (see ``aut_report``), read
     off the forms of its member's coset; the m-side scalars of a member
     are kept per u until the next member."""
-    for _, a_mat, coset_forms in group.by_member(forms):
+    for _, a_mat, c in group.members:
         scalars = {}
-        for mono, a, u in coset_forms:
+        for mono, a, u in forms[c]:
             entry = {"n_side_monomial": mono, "a": a, "u": u}
             if mono:
                 if u not in scalars:

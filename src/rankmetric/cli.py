@@ -9,7 +9,7 @@ subspaces) is derived from the stated seed.
 
 Exit codes: 0 success (including agree=false findings), 2 violated
 invariant (named in the message), 3 enumeration guard, 4 internal
-self-check failure.
+self-check failure, 5 output closed by its reader (a pipe into head).
 """
 
 from __future__ import annotations
@@ -261,54 +261,58 @@ def _output(config):
         raise ParamError(f"cannot write output {path}: {exc.strerror}") from None
 
 
-# pieces the writer collects before it joins them and writes the chunk
-FLUSH_PIECES = 1024
+# characters the writer collects before it joins them and writes the chunk
+FLUSH_CHARS = 1 << 14
+
+class Rendered(tuple):
+    """An array item the writer appends verbatim: the pieces of its JSON text
+    at ``_ITEM``, the depth of an item of an array under a payload key."""
+
+
+_ITEM = "\n    "
 
 
 def _json_write(obj, write, end=""):
     """Write ``json.dumps(obj, indent=2, sort_keys=True) + end`` for the
     verbs' payloads (str-keyed dicts, lists, tuples, generators as arrays,
-    str, int, bool, None, float) to ``write``, in chunks of about
-    FLUSH_PIECES pieces: with ``indent`` CPython encodes in Python, and
-    the whole text is never held at once."""
-    out = []
+    str, int, bool, None, float, and ``Rendered`` items) to ``write``, in
+    chunks of about FLUSH_CHARS characters: with ``indent`` CPython
+    encodes in Python, and the whole text is never held at once."""
+    out, counted = [], [0, 0]  # the characters of out[:counted[1]], and counted[1]
 
     def flush():
-        write("".join(out))
-        out.clear()
-    _json_pieces(obj, "\n", out, {}, flush)
-    out.append(end)
-    flush()
+        counted[:] = counted[0] + sum(map(len, out[counted[1]:])), len(out)
+        if counted[0] > FLUSH_CHARS:
+            write("".join(out))
+            out.clear()
+            counted[:] = 0, 0
+    _json_pieces(obj, "\n", out, flush)
+    write("".join(out) + end)
 
 
-def _json_text(obj, end="") -> str:
-    """``_json_write``'s text as one string."""
-    chunks = []
-    _json_write(obj, chunks.append, end)
-    return "".join(chunks)
+def _json_text(obj, end="", ind="\n") -> str:
+    """``_json_write``'s text as one string (of obj at indentation ``ind``)."""
+    out = []
+    _json_pieces(obj, ind, out, lambda: None)
+    return "".join(out) + end
 
 
 _ARRAYS, _INT = (list, tuple), frozenset([int])
 
 
-def _json_pieces(x, ind, out, memo, flush):
+def _json_pieces(x, ind, out, flush):
     """Append x's pieces to out (``ind``: a newline and x's indentation).
     Dict keys and closers are interned, one string each.  An array whose
     entries are all plain ints (not bools: True == 1 hashes alike) is one
-    piece, made with one join; such a tuple's text is kept in ``memo``,
-    keyed on the depth and the tuple itself, so the memo holds the
-    distinct matrix rows, not the matrices.  Any other array calls
-    ``flush`` between its items once out holds more than FLUSH_PIECES
-    pieces."""
-    if type(x) in _ARRAYS and x and _INT.issuperset(map(type, x)):
-        key = (ind, x) if type(x) is tuple else None
-        text = memo.get(key) if key else None
-        if text is None:
-            inner = ind + "  "
-            text = "[" + inner + ("," + inner).join(map(repr, x)) + ind + "]"
-            if key:
-                memo[key] = text
-        out.append(text)
+    piece, made with one join.  Any other array calls ``flush`` after
+    each of its items."""
+    if type(x) is Rendered:
+        if ind != _ITEM:
+            raise ValueError("a Rendered item is written only in an array under a payload key")
+        out += x
+    elif type(x) in _ARRAYS and x and _INT.issuperset(map(type, x)):
+        inner = ind + "  "
+        out.append("[" + inner + ("," + inner).join(map(repr, x)) + ind + "]")
     elif type(x) is int:
         out.append(repr(x))
     elif x is None or type(x) is bool:
@@ -319,7 +323,7 @@ def _json_pieces(x, ind, out, memo, flush):
         inner = ind + "  "
         for i, (k, v) in enumerate(sorted(x.items())):
             out.append(sys.intern(f"{',' if i else '{'}{inner}{json.encoder.encode_basestring_ascii(k)}: "))
-            _json_pieces(v, inner, out, memo, flush)
+            _json_pieces(v, inner, out, flush)
         out.append(sys.intern(ind + "}") if x else "{}")
     elif isinstance(x, (list, tuple, types.GeneratorType)):
         inner = ind + "  "
@@ -327,9 +331,8 @@ def _json_pieces(x, ind, out, memo, flush):
         for v in x:
             out.append(sep)
             sep = comma
-            _json_pieces(v, inner, out, memo, flush)
-            if len(out) > FLUSH_PIECES:
-                flush()
+            _json_pieces(v, inner, out, flush)
+            flush()
         out.append("[]" if sep[0] == "[" else ind + "]")
     else:  # a float or an int subclass: the C encoder's text
         out.append(json.dumps(x))
@@ -405,30 +408,41 @@ def _aut_payload(config):
                 "is_full_field": ts.is_full_field,
             },
         },
-        # rendered lazily, one entry at a time, as the writer streams them
+        # rendered lazily, one item at a time, as the writer streams them
         "triples": _triples_json(gf, report["triples"]),
-        "verdicts": (
-            {"n_side_monomial": v["n_side_monomial"], "u": v["u"],
-             **{key: None if v.get(key) is None else gf.coords(v[key]) for key in ("a", "m_side_scalar")}}
-            for v in report["verdicts"]),
+        "verdicts": _verdicts_json(gf, report["verdicts"]),
     })
     return payload
 
 
 def _triples_json(gf, group):
-    """The group's triples as JSON dicts, streamed from its members: each
-    A is rendered once per member, each B as its coset is read.  When q
-    is prime the matrices are their own JSON (their entries are the
-    ``gf.fq_json`` ints already), else each entry is looked up in a table
-    of the q elements' ``gf.fq_json``."""
-    entry = {x: gf.fq_json(x) for x in gf.fq_list()}.__getitem__
+    """The group's triples as ``Rendered`` items, streamed from its members:
+    each distinct matrix row is rendered once, A and rho once per member,
+    and each B's rows are looked up once per coset; only row texts are held."""
+    key, rows, bs = _ITEM + "  ", {}, {}
+    inner = key + "  "
 
-    def as_json(mat):
-        return mat if gf.e == 1 else tuple(tuple(map(entry, row)) for row in mat)
-    for rho, a_mat, bs in group.by_member():
-        a_json = as_json(a_mat)
-        for b_mat in bs:
-            yield {"A": a_json, "B": as_json(b_mat), "rho": rho}
+    def text(row):
+        if row not in rows:
+            rows[row] = _json_text(tuple(map(gf.fq_json, row)), ind=inner)
+        return rows[row]
+    for rho, a_mat, c in group.members:
+        if c not in bs:
+            bs[c] = [tuple(map(text, b_mat)) for b_mat in group.coset(c)]
+        head = f'{{{key}"A": [{inner}{("," + inner).join(map(text, a_mat))}{key}],{key}"B": [{inner}'
+        tail = f'{key}],{key}"rho": {rho}{_ITEM}}}'
+        for b_rows in bs[c]:
+            yield Rendered((head, ("," + inner).join(b_rows), tail))
+
+
+def _verdicts_json(gf, verdicts):
+    """The verdicts as ``Rendered`` items: a non-monomial B's, one text for
+    every triple, is rendered once, a monomial one as it is read (a varies)."""
+    off = Rendered((_json_text({"a": None, "m_side_scalar": None, "n_side_monomial": False, "u": None}, ind=_ITEM),))
+    for v in verdicts:
+        scalar = v.get("m_side_scalar")
+        yield off if not v["n_side_monomial"] else Rendered((_json_text(
+            dict(v, a=gf.coords(v["a"]), m_side_scalar=None if scalar is None else gf.coords(scalar)), ind=_ITEM),))
 
 
 def cmd_aut(config) -> int:
@@ -532,20 +546,27 @@ def main(argv=None) -> int:
     subs.add_parser("selfcheck")
 
     args = parser.parse_args(argv)
-    if args.verb == "selfcheck":
-        from .selfcheck import run_selfcheck
-        return run_selfcheck(_instance, _aut_payload, _json_write)
-
     try:
-        config = _merge_flags(_load_config(args.config) if args.config else {}, args)
-        verbs = {"construct": cmd_construct, "nuclei": cmd_nuclei, "aut": cmd_aut, "sweep": cmd_sweep}
-        return verbs[args.verb](config)
+        if args.verb == "selfcheck":
+            from .selfcheck import run_selfcheck
+            code = run_selfcheck(_instance, _aut_payload, _json_write)
+        else:
+            config = _merge_flags(_load_config(args.config) if args.config else {}, args)
+            verbs = {"construct": cmd_construct, "nuclei": cmd_nuclei, "aut": cmd_aut, "sweep": cmd_sweep}
+            code = verbs[args.verb](config)
+        sys.stdout.flush()
+        return code
     except (EnumerationGuardError, FieldTooLargeError) as exc:
         sys.stderr.write(f"guard: {exc}\n")
         return 3
     except RankMetricError as exc:
         sys.stderr.write(f"invalid configuration: {type(exc).__name__}: {exc}\n")
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout; devnull takes the interpreter's final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write("output closed before it was written in full\n")
+        return 5
 
 
 if __name__ == "__main__":

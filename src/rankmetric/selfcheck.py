@@ -15,7 +15,7 @@ import random
 
 from . import _linalg, autgroup, nuclei
 from .gf import field_create
-from .linpoly import LinearizedPoly, subspace_poly, reduce_mod_theta, poly_from_reduced, shift_support
+from .linpoly import LinearizedPoly, matrix_to_poly, subspace_poly, reduce_mod_theta, poly_from_reduced, shift_support
 from .rankcode import (
     CodeParams,
     RankCode,
@@ -218,17 +218,27 @@ def run_selfcheck(instance, aut_payload, json_write) -> int:
            aut_cosets, failures)
 
     def json_writer():
-        aut = aut_payload(f4_aut)
-        listed = dict(aut, triples=list(aut["triples"]), verdicts=list(aut["verdicts"]))
-        streamed = dict(listed, triples=(t for t in listed["triples"]), verdicts=(v for v in listed["verdicts"]))
-        edges = [{}, [], (), {"a": [{}, ()]}, None, True, False, 0.1, aut["summary"]["monomial_fraction"],
+        _, gf, _, S, code, _ = instance(f4_aut)
+        report = autgroup.aut_report(code, S)
+
+        def mat(x):
+            return tuple(tuple(map(gf.fq_json, row)) for row in x)
+        triples, verdicts = [], []  # the reference, made per triple from the group (900 triples)
+        for t in report["triples"]:
+            mono, a, u = autgroup.check_monomial_form(matrix_to_poly(gf, t.B), report["ell_right"])
+            scalar = nuclei.mside_twisted_scalar(t.A, S, u) if mono else None
+            triples.append({"A": mat(t.A), "B": mat(t.B), "rho": t.rho})
+            verdicts.append({"n_side_monomial": mono, "u": u, "a": a and gf.coords(a),
+                             "m_side_scalar": scalar and gf.coords(scalar)})
+        edges = [{}, [], (), {"a": [{}, ()]}, None, True, False, 0.1, report["monomial_fraction"],
                  "\u00e9\u2603", "tab\t \"q\" \\ \x01", (1, 2), [(1, 2)], [(1,), (True,), (1.0,)]]
-        chunks = []
-        json_write([streamed, edges], chunks.append)
-        assert len(chunks) > 1, len(chunks)  # 900 triples and verdicts: several flushes
-        assert "".join(chunks) == json.JSONEncoder(indent=2, sort_keys=True).encode([listed, edges])
-    _check("streamed JSON writer matches json.dumps(indent=2, sort_keys=True) across its chunks "
-           "on an F_4 aut payload and edge values", json_writer, failures)
+        aut, encode = aut_payload(f4_aut), json.JSONEncoder(indent=2, sort_keys=True).encode
+        for value, want, least in ((aut, dict(aut, triples=triples, verdicts=verdicts), 2), (edges, edges, 1)):
+            chunks = []
+            json_write(value, chunks.append)
+            assert "".join(chunks) == encode(want) and len(chunks) >= least, len(chunks)
+    _check("streamed JSON writer matches json.dumps(indent=2, sort_keys=True) on an F_4 aut payload, "
+           "against triples and verdicts made per triple, and on edge values", json_writer, failures)
 
     if failures:
         print(f"{len(failures)} selfcheck item(s) failed")

@@ -20,13 +20,14 @@ from rankmetric.autgroup import (
     enumerate_gl,
     generate_known_automorphisms,
     gl_order,
+    monomial_forms,
     mside_twisted_scalar,
     normalizer_elements,
     right_nucleus_polyform,
     theta_set,
     triple_acts,
 )
-from rankmetric.nuclei import right_nucleus_bruteforce, subfield_fq_basis
+from rankmetric.nuclei import right_nucleus_bruteforce, smallest_containing_subfield, subfield_fq_basis
 from rankmetric.rankcode import CodeParams, RankCode, build_gtg, mat_frobenius_p, mat_identity, project_code
 
 
@@ -415,3 +416,19 @@ def test_group_is_its_members_times_the_right_nucleus_units(p, e, n, m, k, h, et
     assert len(group.cosets) < len(group.members) or len(group.members) == 1
     if e > 1:
         assert {rho for rho, _, _ in group.members} == set(range(e))
+
+
+@pytest.mark.parametrize("p, e, n, m, k, h, eta, sub", COSET_CELLS.values(), ids=COSET_CELLS.keys())
+def test_monomial_forms_by_one_product_per_coset_match_the_per_b_path(p, e, n, m, k, h, eta, sub):
+    gf = field_create(p, e, n)
+    eta = gf.generator if eta == "generator" else resolve_eta(gf, eta)
+    S = resolve_subspace(gf, sub, m)
+    code = project_code(build_gtg(CodeParams(gf, m, k, 1, h, eta)), S)
+    group = aut_bruteforce(code)
+    ell = smallest_containing_subfield(S)
+    want = [[check_monomial_form(matrix_to_poly(gf, b), ell) for b in group.coset(c)]
+            for c in range(len(group.cosets))]
+    assert monomial_forms(gf, group.cosets, ell) == want
+    rep = aut_report(code, S)
+    assert rep["ell_right"] == ell
+    assert rep["monomial_fraction"] == sum(sum(f[0] for f in want[c]) for _, _, c in group.members) / len(group)

@@ -583,3 +583,22 @@ def test_sweep_misspelled_grid_axis_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert "unknown sweep grid axis 'subspce' (allowed: p, e, n, m, k, s, h, eta, subspace)" in captured.err
+
+
+def test_a_reader_closing_the_pipe_ends_the_run_with_exit_5_and_no_traceback():
+    # the F_{7^3}, m = 2 group writes 2.75 MB, far more than a pipe holds,
+    # so the write after the reader closes fails with EPIPE
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    args = "aut --p 7 --e 1 --n 3 --m 2 --k 1 --s 1 --h 1 --eta nonsquare-min --subspace generic:1".split()
+    proc = subprocess.Popen([sys.executable, "-m", "rankmetric.cli", *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.read(100).startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 5
+    finally:
+        proc.kill()
+        proc.wait()
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert "output closed" in err

@@ -173,6 +173,34 @@ print(json.dumps({"code": code, "growth_kb": peak_kb() - before}))
     assert out["growth_kb"] < 10 * 1024, out
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status to read VmHWM from")
+def test_aut_output_stage_adds_no_peak_memory():
+    # the F_4, m = 2, n = 3 op that sets the aut workload's peak: 1,134
+    # triples, 2 MB of JSON.  Rendering each B once per coset and each
+    # distinct verdict once, and writing chunks of about FLUSH_CHARS
+    # characters, stays under the peak the search already set; holding
+    # every coset's text, or flushing every 1,024 whole triples, grew it
+    # by 0.6 to 1.9 MB.
+    out = _child("""
+import json, os
+import rankmetric.cli as cli
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+config = {"field": {"p": 2, "e": 2, "n": 3}, "params": {"m": 2, "k": 1, "s": 1, "h": 0, "eta": "0"},
+          "subspace": "generic:3"}
+payload = cli._aut_payload(config)
+before = peak_kb()
+with open(os.devnull, "w") as fh:
+    cli._json_write(payload, fh.write, "\\n")
+print(json.dumps({"order": payload["summary"]["order"], "growth_kb": peak_kb() - before}))
+""")
+    assert out["order"] == 1134
+    assert out["growth_kb"] <= 64, out
+
+
 def test_aut_holds_the_group_once():
     # the same F_{7^3}, m = 2 op under tracemalloc: the peak of the Python
     # allocations of cli.main.  A verdict dict and a fresh serialized copy
