@@ -302,10 +302,9 @@ _ARRAYS, _INT = (list, tuple), frozenset([int])
 
 def _json_pieces(x, ind, out, flush):
     """Append x's pieces to out (``ind``: a newline and x's indentation).
-    Dict keys and closers are interned, one string each.  An array whose
-    entries are all plain ints (not bools: True == 1 hashes alike) is one
-    piece, made with one join.  Any other array calls ``flush`` after
-    each of its items."""
+    An array whose entries are all plain ints (not bools, which render as
+    true and false) is one piece, made with one join.  Any other array
+    calls ``flush`` after each of its items."""
     if type(x) is Rendered:
         if ind != _ITEM:
             raise ValueError("a Rendered item is written only in an array under a payload key")
@@ -322,9 +321,9 @@ def _json_pieces(x, ind, out, flush):
     elif isinstance(x, dict):
         inner = ind + "  "
         for i, (k, v) in enumerate(sorted(x.items())):
-            out.append(sys.intern(f"{',' if i else '{'}{inner}{json.encoder.encode_basestring_ascii(k)}: "))
+            out.append(f"{',' if i else '{'}{inner}{json.encoder.encode_basestring_ascii(k)}: ")
             _json_pieces(v, inner, out, flush)
-        out.append(sys.intern(ind + "}") if x else "{}")
+        out.append(ind + "}" if x else "{}")
     elif isinstance(x, (list, tuple, types.GeneratorType)):
         inner = ind + "  "
         sep, comma = "[" + inner, "," + inner

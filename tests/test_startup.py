@@ -176,11 +176,10 @@ print(json.dumps({"code": code, "growth_kb": peak_kb() - before}))
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status to read VmHWM from")
 def test_aut_output_stage_adds_no_peak_memory():
     # the F_4, m = 2, n = 3 op that sets the aut workload's peak: 1,134
-    # triples, 2 MB of JSON.  Rendering each B once per coset and each
-    # distinct verdict once, and writing chunks of about FLUSH_CHARS
-    # characters, stays under the peak the search already set; holding
-    # every coset's text, or flushing every 1,024 whole triples, grew it
-    # by 0.6 to 1.9 MB.
+    # triples, 2 MB of JSON.  Writing it in chunks of about FLUSH_CHARS
+    # characters, with only matrix-row texts held, stays under the peak
+    # the search set; holding the text of every coset's B's and of every
+    # distinct verdict grew the peak by 180 KB here.
     out = _child("""
 import json, os
 import rankmetric.cli as cli
