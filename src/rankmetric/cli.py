@@ -5,7 +5,9 @@ driven by a JSON config (see README for the schema); any config field
 can also be set directly with a flag, and flags win over the file.
 Outputs are byte-deterministic: sorted JSON keys, fixed CSV column
 order, no timestamps, and every pseudo-random choice ("generic:seed"
-subspaces) is derived from the stated seed.
+subspaces) is derived from the stated seed.  The JSON is the stdlib
+encoder's ``indent=2, sort_keys=True`` text, written in chunks, with
+``aut``'s triples and verdicts spliced in as pre-rendered items.
 
 Exit codes: 0 success (including agree=false findings), 2 violated
 invariant (named in the message), 3 enumeration guard, 4 internal
@@ -264,77 +266,49 @@ def _output(config):
 # characters the writer collects before it joins them and writes the chunk
 FLUSH_CHARS = 1 << 14
 
-class Rendered(tuple):
-    """An array item the writer appends verbatim: the pieces of its JSON text
-    at ``_ITEM``, the depth of an item of an array under a payload key."""
-
-
+# the indentation of an item of an array under a payload key
 _ITEM = "\n    "
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
 
 
 def _json_write(obj, write, end=""):
-    """Write ``json.dumps(obj, indent=2, sort_keys=True) + end`` for the
-    verbs' payloads (str-keyed dicts, lists, tuples, generators as arrays,
-    str, int, bool, None, float, and ``Rendered`` items) to ``write``, in
-    chunks of about FLUSH_CHARS characters: with ``indent`` CPython
-    encodes in Python, and the whole text is never held at once."""
-    out, counted = [], [0, 0]  # the characters of out[:counted[1]], and counted[1]
+    """Write ``json.dumps(obj, indent=2, sort_keys=True) + end`` to ``write``
+    in chunks of about FLUSH_CHARS characters, so the whole text is never
+    held.  A generator is taken only as the value of a top-level key of a
+    dict ``obj``: an array whose items are JSON text rendered at ``_ITEM``,
+    spliced in as they come.  A generator anywhere else is a TypeError."""
+    # each top-level generator is a fresh object to the encoder, so a deeper one is never taken
+    places = {k: object() for k, v in obj.items() if type(v) is types.GeneratorType} if isinstance(obj, dict) else {}
+    streams, spliced = {id(place): obj[k] for k, place in places.items()}, []
+    obj = {**obj, **places} if places else obj
 
-    def flush():
-        counted[:] = counted[0] + sum(map(len, out[counted[1]:])), len(out)
-        if counted[0] > FLUSH_CHARS:
+    def default(o):
+        if id(o) not in streams:
+            return _ENCODER.default(o)  # json's TypeError
+        spliced.append(streams.pop(id(o)))  # the encoder's next piece, its "null", gives way to it
+
+    def pieces():
+        for piece in json.JSONEncoder(indent=2, sort_keys=True, default=default).iterencode(obj):
+            if spliced:
+                sep = "[" + _ITEM
+                for item in spliced.pop():
+                    yield sep + item
+                    sep = "," + _ITEM
+                piece = "[]" if sep[0] == "[" else "\n  ]"
+            yield piece
+    out, held = [], 0
+    for piece in pieces():
+        out.append(piece)
+        held += len(piece)
+        if held > FLUSH_CHARS:
             write("".join(out))
-            out.clear()
-            counted[:] = 0, 0
-    _json_pieces(obj, "\n", out, flush)
+            out, held = [], 0
     write("".join(out) + end)
 
 
 def _json_text(obj, end="", ind="\n") -> str:
-    """``_json_write``'s text as one string (of obj at indentation ``ind``)."""
-    out = []
-    _json_pieces(obj, ind, out, lambda: None)
-    return "".join(out) + end
-
-
-_ARRAYS, _INT = (list, tuple), frozenset([int])
-
-
-def _json_pieces(x, ind, out, flush):
-    """Append x's pieces to out (``ind``: a newline and x's indentation).
-    An array whose entries are all plain ints (not bools, which render as
-    true and false) is one piece, made with one join.  Any other array
-    calls ``flush`` after each of its items."""
-    if type(x) is Rendered:
-        if ind != _ITEM:
-            raise ValueError("a Rendered item is written only in an array under a payload key")
-        out += x
-    elif type(x) in _ARRAYS and x and _INT.issuperset(map(type, x)):
-        inner = ind + "  "
-        out.append("[" + inner + ("," + inner).join(map(repr, x)) + ind + "]")
-    elif type(x) is int:
-        out.append(repr(x))
-    elif x is None or type(x) is bool:
-        out.append("null" if x is None else "true" if x else "false")
-    elif isinstance(x, str):
-        out.append(json.encoder.encode_basestring_ascii(x))
-    elif isinstance(x, dict):
-        inner = ind + "  "
-        for i, (k, v) in enumerate(sorted(x.items())):
-            out.append(f"{',' if i else '{'}{inner}{json.encoder.encode_basestring_ascii(k)}: ")
-            _json_pieces(v, inner, out, flush)
-        out.append(ind + "}" if x else "{}")
-    elif isinstance(x, (list, tuple, types.GeneratorType)):
-        inner = ind + "  "
-        sep, comma = "[" + inner, "," + inner
-        for v in x:
-            out.append(sep)
-            sep = comma
-            _json_pieces(v, inner, out, flush)
-            flush()
-        out.append("[]" if sep[0] == "[" else ind + "]")
-    else:  # a float or an int subclass: the C encoder's text
-        out.append(json.dumps(x))
+    """``json.dumps(obj, indent=2, sort_keys=True) + end`` with obj at indentation ``ind``."""
+    return _ENCODER.encode(obj).replace("\n", ind) + end
 
 
 def _emit(config, payload):
@@ -415,11 +389,11 @@ def _aut_payload(config):
 
 
 def _triples_json(gf, group):
-    """The group's triples as ``Rendered`` items, streamed from its members:
-    each distinct matrix row is rendered once, A and rho once per member,
-    and each B's rows are looked up once per coset; only row texts are held."""
-    key, rows, bs = _ITEM + "  ", {}, {}
-    inner = key + "  "
+    """The group's triples as JSON text at ``_ITEM``, streamed from its
+    members: each distinct matrix row is rendered once, A and rho once per
+    member, and each B's rows are looked up once per coset; only row texts
+    are held."""
+    inner, rows, bs = _ITEM + "    ", {}, {}
 
     def text(row):
         if row not in rows:
@@ -428,20 +402,21 @@ def _triples_json(gf, group):
     for rho, a_mat, c in group.members:
         if c not in bs:
             bs[c] = [tuple(map(text, b_mat)) for b_mat in group.coset(c)]
-        head = f'{{{key}"A": [{inner}{("," + inner).join(map(text, a_mat))}{key}],{key}"B": [{inner}'
-        tail = f'{key}],{key}"rho": {rho}{_ITEM}}}'
+        # the member's text around its B rows, split at a one-row B of a string no entry can hold
+        a_json = tuple(tuple(map(gf.fq_json, row)) for row in a_mat)
+        head, tail = _json_text({"A": a_json, "B": ["\0"], "rho": rho}, ind=_ITEM).split('"\\u0000"')
         for b_rows in bs[c]:
-            yield Rendered((head, ("," + inner).join(b_rows), tail))
+            yield head + ("," + inner).join(b_rows) + tail
 
 
 def _verdicts_json(gf, verdicts):
-    """The verdicts as ``Rendered`` items: a non-monomial B's, one text for
-    every triple, is rendered once, a monomial one as it is read (a varies)."""
-    off = Rendered((_json_text({"a": None, "m_side_scalar": None, "n_side_monomial": False, "u": None}, ind=_ITEM),))
+    """The verdicts as JSON text at ``_ITEM``: a non-monomial B's, one text
+    for every triple, is rendered once, a monomial one as it is read (a varies)."""
+    off = _json_text({"a": None, "m_side_scalar": None, "n_side_monomial": False, "u": None}, ind=_ITEM)
     for v in verdicts:
         scalar = v.get("m_side_scalar")
-        yield off if not v["n_side_monomial"] else Rendered((_json_text(
-            dict(v, a=gf.coords(v["a"]), m_side_scalar=None if scalar is None else gf.coords(scalar)), ind=_ITEM),))
+        yield off if not v["n_side_monomial"] else _json_text(
+            dict(v, a=gf.coords(v["a"]), m_side_scalar=None if scalar is None else gf.coords(scalar)), ind=_ITEM)
 
 
 def cmd_aut(config) -> int:

@@ -344,7 +344,7 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative order")
         t = self.order - 1
-        for r, mult in factorize(t).items():
+        for r, mult in self._unit_factors.items():
             for _ in range(mult):
                 if self.pow(a, t // r) == 1:
                     t //= r

@@ -237,8 +237,9 @@ def run_selfcheck(instance, aut_payload, json_write) -> int:
             chunks = []
             json_write(value, chunks.append)
             assert "".join(chunks) == encode(want) and len(chunks) >= least, len(chunks)
-    _check("streamed JSON writer matches json.dumps(indent=2, sort_keys=True) on an F_4 aut payload, "
-           "against triples and verdicts made per triple, and on edge values", json_writer, failures)
+    _check("JSON writer (the stdlib encoder, streamed, with the aut arrays spliced in) matches "
+           "json.dumps(indent=2, sort_keys=True) of triples and verdicts made per triple on an F_4 "
+           "aut payload, and of edge values", json_writer, failures)
 
     if failures:
         print(f"{len(failures)} selfcheck item(s) failed")

@@ -1,6 +1,6 @@
 """Output bytes against the benchmark's recorded digests: a few ops of
 ``bench/workloads.py``'s ``choice_space`` (sweeps over F_2, F_3 and F_4,
-one construct, one nuclei, and the first choice of every aut slot: F_2
+every construct and nuclei slot, and the first choice of every aut slot: F_2
 at n = 6 and 5, F_5, F_7, F_3 and F_4) run in-process, and each exit
 code and stdout SHA-256 must equal its entry in ``bench/expected.json``.
 A change that moves output bytes then fails here as well as in the
@@ -32,12 +32,14 @@ EXPECTED = json.loads((BENCH / "expected.json").read_text(encoding="utf-8"))
 
 # (workload, op id): the first choice of the slot; census-00, -01 and -03
 # are sweeps over F_2 (m up to 5, the middle systems packed into
-# ``BitField`` words), F_3 and F_4 (``TableField``), field-scale-03 a
-# construct over F_17, field-scale-05 nuclei over F_(2^10), and
-# aut-exhaustive-00 to -05 the aut ops over F_(2^6), F_(2^5), F_(5^3),
+# ``BitField`` words), F_3 and F_4 (``TableField``), field-scale-00 to -04
+# constructs over F_(2^14), F_(2^17) and F_(2^20) (the last two by trinomial
+# moduli, above the table limit), F_17 and F_(257^2), field-scale-05 nuclei
+# over F_(2^10), field-scale-06 the exit-3 subfield:4 nuclei op over
+# F_(2^12), and aut-exhaustive-00 to -05 the aut ops over F_(2^6), F_(2^5), F_(5^3),
 # F_(7^3) (the largest output, 2.75 MB), F_(3^4) and F_(4^3)
 OPS = [("census", "census-00"), ("census", "census-01"), ("census", "census-03"),
-       ("field-scale", "field-scale-03"), ("field-scale", "field-scale-05"),
+       *(("field-scale", f"field-scale-{i:02d}") for i in range(7)),
        *(("aut-exhaustive", f"aut-exhaustive-{i:02d}") for i in (5, 3, 0, 1, 2, 4))]
 
 

@@ -1,11 +1,11 @@
 """The CLI's JSON writer against ``json.dumps(x, indent=2, sort_keys=True)``:
 the payloads of construct, nuclei and aut over F_p and over F_4 (captured
-by patching ``cli._emit``), and the edge values the writer must get
-right on its own, both joined and streamed in chunks flushed after 1, 40
-and 300 characters.  An aut payload's triples and verdicts are
-``cli.Rendered`` text, so its reference is built from the group: the
-triples from ``list(report["triples"])``, the verdicts per triple from
-``check_monomial_form(matrix_to_poly(gf, B), ell)``."""
+by patching ``cli._emit``), and edge values, both joined and streamed in
+chunks flushed after 1, 40 and 300 characters.  The writer is the stdlib
+encoder with the top-level generators spliced in as arrays of JSON text.
+An aut payload's triples and verdicts are such text, so its reference is
+built from the group: the triples from ``list(report["triples"])``, the
+verdicts per triple from ``check_monomial_form(matrix_to_poly(gf, B), ell)``."""
 
 import json
 import sys
@@ -73,12 +73,22 @@ def captured(tmp_path_factory):
     return {name: _capture(tmp_path_factory.mktemp(name), argv) for name, argv in RUNS.items()}
 
 
-def _streamed(value, chars, monkeypatch):
-    """``_json_write``'s chunks of value, flushed once ``chars`` characters are held."""
-    monkeypatch.setattr(cli, "FLUSH_CHARS", chars)
+def _written(value):
+    """``_json_write``'s chunks of value."""
     chunks = []
     cli._json_write(value, chunks.append, "\n")
     return chunks
+
+
+def _streamed(value, chars, monkeypatch):
+    """``_json_write``'s chunks of value, flushed once ``chars`` characters are held."""
+    monkeypatch.setattr(cli, "FLUSH_CHARS", chars)
+    return _written(value)
+
+
+def _relazied(captured, name):
+    payload, lazy, _ = captured[name]
+    return {k: (x for x in v) if k in lazy else v for k, v in payload.items()}
 
 
 @pytest.mark.parametrize("name", RUNS)
@@ -87,19 +97,18 @@ def test_writer_matches_json_dumps_on_every_verb_payload(captured, name):
     if name.startswith("aut"):
         assert lazy == ["triples", "verdicts"]
         assert isinstance(payload["summary"]["monomial_fraction"], float)
-        assert type(payload["triples"][0]) is cli.Rendered and isinstance(want["triples"][0]["B"], tuple)
+        assert type(payload["triples"][0]) is str and isinstance(want["triples"][0]["B"], tuple)
         assert len(payload["verdicts"]) == len(want["verdicts"]) == payload["summary"]["order"]
     if name.startswith("construct"):
         assert "mrd" in payload
-    assert cli._json_text(payload) == _reference(want)
+    assert "".join(_written(_relazied(captured, name))) == _reference(want) + "\n"
 
 
 @pytest.mark.parametrize("chars", CHARS)
 @pytest.mark.parametrize("name", RUNS)
 def test_streamed_writer_matches_json_dumps_on_every_verb_payload(captured, monkeypatch, name, chars):
-    payload, lazy, want = captured[name]
-    relazied = {k: (x for x in v) if k in lazy else v for k, v in payload.items()}
-    chunks = _streamed(relazied, chars, monkeypatch)
+    _, _, want = captured[name]
+    chunks = _streamed(_relazied(captured, name), chars, monkeypatch)
     assert len(chunks) > 2
     assert "".join(chunks) == _reference(want) + "\n"
 
@@ -112,14 +121,6 @@ def test_emit_writes_the_f4_aut_payload_in_several_chunks(captured, monkeypatch)
     assert len(writes) > 1
     assert "".join(writes) == _reference(want) + "\n"
     assert max(map(len, writes[:-1])) < 2 * cli.FLUSH_CHARS
-
-
-def test_a_rendered_item_is_written_only_at_its_depth():
-    item = cli.Rendered(("1",))
-    assert cli._json_text({"k": [item, item]}) == _reference({"k": [1, 1]})
-    for misplaced in ([item], {"a": {"k": [item]}}, {"k": item}):
-        with pytest.raises(ValueError):
-            cli._json_text(misplaced)
 
 
 EDGES = {
@@ -144,6 +145,7 @@ EDGES = {
     "(True, 0) and (1, 0) in one payload": [(True, 0), (1, 0), [(1, 0), (True, 0)], {"a": (1, 0), "b": (True, 0)},
                                             ((True, 0), (1, 0)), [True, 0], [1, 0], (0, False), (0, 0)],
     "all-int arrays": [(0,), [7], (1, -2, 2 ** 70), [[1, 2], (1, 2)], ((1, 2), (3, 4)), [1, 2.0], (1, None)],
+    "int keys": {2: "b", 1: {10: None, 9: True}},
 }
 
 
@@ -159,17 +161,46 @@ def test_streamed_writer_matches_json_dumps_on_edge_values(monkeypatch, value, c
     assert "".join(_streamed(value, chars, monkeypatch)) == _reference(value) + "\n"
 
 
+def _items(values):
+    """A stream of values as the writer takes it: JSON text at ``_ITEM``."""
+    return (cli._json_text(x, ind=cli._ITEM) for x in values)
+
+
 @pytest.mark.parametrize("chars", CHARS)
 def test_writer_takes_a_generator_as_an_array(monkeypatch, chars):
     items = [{"a": (1, [2])}, [], (), "x", None]
-    for value in ([], items, [items, {"b": items}]):
-        lazy = (x for x in value)
-        assert "".join(_streamed({"k": lazy, "e": (x for x in ())}, chars, monkeypatch)) == \
-            _reference({"k": value, "e": []}) + "\n"
+    assert "".join(_streamed({"k": _items(items), "e": _items([])}, chars, monkeypatch)) == \
+        _reference({"k": items, "e": []}) + "\n"
+
+
+def test_an_empty_top_level_stream_is_written_as_an_empty_array():
+    assert "".join(_written({"k": _items([])})) == '{\n  "k": []\n}\n'
+
+
+@pytest.mark.parametrize("chars", CHARS)
+def test_data_like_the_splice_is_written_as_json_dumps_writes_it(monkeypatch, chars):
+    # the stream's place holds null for the encoder, and a member's text is split at "\0"
+    beside = {"a": "\0", "n": None, "z": ["\0", None, "null", "[]", {"B": ["\0"], "k": None}]}
+    items = [{"B": ["\0"]}, None, "\0"]
+    value = dict(beside, k=_items(items), m=_items([None]))
+    assert "".join(_streamed(value, chars, monkeypatch)) == \
+        _reference(dict(beside, k=items, m=[None])) + "\n"
+
+
+def test_a_generator_below_the_top_level_is_a_type_error():
+    def stream():
+        return _items([1])
+    shared = stream()
+    for value in ({"a": {"k": stream()}}, {"a": [stream()]}, [stream()], stream(), {"a": [shared], "b": shared}):
+        with pytest.raises(TypeError):
+            _reference(value)
+        with pytest.raises(TypeError):
+            _written(value)
 
 
 def test_writer_rejects_what_json_dumps_rejects():
-    with pytest.raises(TypeError):
-        cli._json_text({"a": {1, 2}})
-    with pytest.raises(TypeError):
-        cli._json_text({1: "int key"})
+    for value in ({"a": {1, 2}}, {1: "an int and a str key", "b": 2}):
+        with pytest.raises(TypeError):
+            _reference(value)
+        with pytest.raises(TypeError):
+            _written(value)
