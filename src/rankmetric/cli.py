@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -268,7 +269,6 @@ FLUSH_CHARS = 1 << 14
 
 # the indentation of an item of an array under a payload key
 _ITEM = "\n    "
-_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
 
 
 def _json_write(obj, write, end=""):
@@ -277,15 +277,14 @@ def _json_write(obj, write, end=""):
     held.  A generator is taken only as the value of a top-level key of a
     dict ``obj``: an array whose items are JSON text rendered at ``_ITEM``,
     spliced in as they come.  A generator anywhere else is a TypeError."""
-    # each top-level generator is a fresh object to the encoder, so a deeper one is never taken
-    places = {k: object() for k, v in obj.items() if type(v) is types.GeneratorType} if isinstance(obj, dict) else {}
-    streams, spliced = {id(place): obj[k] for k, place in places.items()}, []
-    obj = {**obj, **places} if places else obj
+    # spliced where the encoder first meets it: one that also sits deeper is met twice, a TypeError
+    streams = {id(v): v for v in obj.values() if type(v) is types.GeneratorType} if isinstance(obj, dict) else {}
+    spliced = []
 
     def default(o):
-        if id(o) not in streams:
-            return _ENCODER.default(o)  # json's TypeError
-        spliced.append(streams.pop(id(o)))  # the encoder's next piece, its "null", gives way to it
+        if streams.pop(id(o), None) is None:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        spliced.append(o)  # the encoder's next piece, its "null", gives way to o's items
 
     def pieces():
         for piece in json.JSONEncoder(indent=2, sort_keys=True, default=default).iterencode(obj):
@@ -308,7 +307,7 @@ def _json_write(obj, write, end=""):
 
 def _json_text(obj, end="", ind="\n") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + end`` with obj at indentation ``ind``."""
-    return _ENCODER.encode(obj).replace("\n", ind) + end
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", ind) + end
 
 
 def _emit(config, payload):
@@ -388,35 +387,35 @@ def _aut_payload(config):
     return payload
 
 
+def _around(obj):
+    """obj's JSON text at ``_ITEM``, split at its one string "\\0" (where a caller's text goes)."""
+    return _json_text(obj, ind=_ITEM).split('"\\u0000"')
+
+
 def _triples_json(gf, group):
     """The group's triples as JSON text at ``_ITEM``, streamed from its
     members: each distinct matrix row is rendered once, A and rho once per
     member, and each B's rows are looked up once per coset; only row texts
     are held."""
-    inner, rows, bs = _ITEM + "    ", {}, {}
-
-    def text(row):
-        if row not in rows:
-            rows[row] = _json_text(tuple(map(gf.fq_json, row)), ind=inner)
-        return rows[row]
+    inner, bs = _ITEM + "    ", {}
+    text = functools.cache(lambda row: _json_text(tuple(map(gf.fq_json, row)), ind=inner))
     for rho, a_mat, c in group.members:
         if c not in bs:
             bs[c] = [tuple(map(text, b_mat)) for b_mat in group.coset(c)]
-        # the member's text around its B rows, split at a one-row B of a string no entry can hold
-        a_json = tuple(tuple(map(gf.fq_json, row)) for row in a_mat)
-        head, tail = _json_text({"A": a_json, "B": ["\0"], "rho": rho}, ind=_ITEM).split('"\\u0000"')
+        head, tail = _around({"A": [tuple(map(gf.fq_json, row)) for row in a_mat], "B": ["\0"], "rho": rho})
         for b_rows in bs[c]:
             yield head + ("," + inner).join(b_rows) + tail
 
 
 def _verdicts_json(gf, verdicts):
-    """The verdicts as JSON text at ``_ITEM``: a non-monomial B's, one text
-    for every triple, is rendered once, a monomial one as it is read (a varies)."""
-    off = _json_text({"a": None, "m_side_scalar": None, "n_side_monomial": False, "u": None}, ind=_ITEM)
+    """The verdicts as JSON text at ``_ITEM``, each made of the text of its
+    a and the text around it, both rendered once per distinct value."""
+    a_text = functools.cache(lambda a: "null" if a is None else _json_text(gf.coords(a), ind=_ITEM + "  "))
+    around = functools.cache(lambda mono, scalar, u: _around({
+        "a": "\0", "m_side_scalar": None if scalar is None else gf.coords(scalar), "n_side_monomial": mono, "u": u}))
     for v in verdicts:
-        scalar = v.get("m_side_scalar")
-        yield off if not v["n_side_monomial"] else _json_text(
-            dict(v, a=gf.coords(v["a"]), m_side_scalar=None if scalar is None else gf.coords(scalar)), ind=_ITEM)
+        head, tail = around(v["n_side_monomial"], v.get("m_side_scalar"), v["u"])
+        yield head + a_text(v["a"]) + tail
 
 
 def cmd_aut(config) -> int:
