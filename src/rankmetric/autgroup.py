@@ -43,7 +43,7 @@ import numpy as np
 
 from . import _linalg
 from .errors import AnsatzMismatchError, EnumerationGuardError
-from .linpoly import LinearizedPoly, SubspaceSpec, matrix_to_poly, poly_from_values, poly_to_matrix
+from .linpoly import LinearizedPoly, SubspaceSpec, matrix_to_poly, moore_inverse, poly_to_matrix
 from .nuclei import mside_twisted_scalar, right_nucleus_bruteforce, smallest_containing_subfield
 from .rankcode import (
     GL_GUARD_AUT,
@@ -214,10 +214,11 @@ def monomial_forms(gf, cosets, ell: int):
     """``check_monomial_form(matrix_to_poly(gf, B), ell)`` of each B of each
     coset (index stacks (k, n, n)), by one ``matmul`` per coset, as the
     residues are F_q-linear in B's entries.  Row (i, j) of the n^2 x (ell n)
-    map is xi^j times the residues w_iu of xi^i -> 1 (times x -> xi, j times)."""
-    f, n, basis = _linalg.fq_arith(gf), gf.n, gf.power_basis()
-    w = f.index([[gf.vec_repr(r) for r in _residues(poly_from_values(gf, basis, [int(t == i) for t in range(n)]), ell)]
-                 for i in range(n)])
+    map is xi^j times the residues w_iu of xi^i -> 1, column i of the
+    power basis's Moore inverse (times x -> xi, j times)."""
+    f, n = _linalg.fq_arith(gf), gf.n
+    w = f.index([[gf.vec_repr(r) for r in _residues(LinearizedPoly(gf, col), ell)]
+                 for col in zip(*moore_inverse(gf, gf.power_basis()))])
     by_xi = f.index(poly_to_matrix(LinearizedPoly.monomial(gf, gf.generator, 0)))
     rows = itertools.accumulate(range(n - 1), lambda r, _: f.matmul(r, by_xi), initial=w)
     fold = np.stack(list(rows), axis=1).reshape(n * n, ell * n)

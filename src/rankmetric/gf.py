@@ -218,7 +218,6 @@ class FieldSpec:
 
         self._subfield_cache: dict[int, tuple] = {}
         self._vecrepr_cache: dict[tuple, np.ndarray] = {}
-        self._interp_cache: dict[tuple, list] = {}
         self._misc_cache: dict = {}
         self._fq_json: dict[int, tuple] = {}  # F_q element -> its coords, see fq_json
 

@@ -10,7 +10,8 @@ vanishing exactly on the span U_S.  Reduction mod theta_S onto the
 step-s transversal {sum_{j<m} a_j X^(q^(s j))} is performed by a Moore
 matrix solve: the representative is pinned down by its values on the
 alpha_i, and the Moore matrix (alpha_i^(q^(s j))) is invertible exactly
-when the alpha_i are independent and gcd(s, n) = 1.
+when the alpha_i are independent and gcd(s, n) = 1.  Interpolation on
+a basis is the m = n solve: ``moore_inverse`` is the one F_{q^n} inverse.
 """
 
 from __future__ import annotations
@@ -74,11 +75,6 @@ class LinearizedPoly:
     def __neg__(self):
         return LinearizedPoly(self.gf, (self.gf.neg(a) for a in self.coeffs))
 
-    def scale(self, c):
-        """Left multiplication by c in F_{q^n}: x -> c * f(x)."""
-        gf = self.gf
-        return LinearizedPoly(gf, (gf.mul(c, a) for a in self.coeffs))
-
     def compose(self, other):
         """self o other:  h_k = sum_{i+j = k mod n} f_i * g_j^(q^i)."""
         self.gf.check_same(other.gf)
@@ -115,12 +111,13 @@ class LinearizedPoly:
 
 def _lin_eval(gf, coeffs, x):
     """sum_i coeffs[i] x^(q^i), the one evaluation loop for linearized
-    polynomials of any length (theta_S has m + 1 coefficients)."""
-    out, y = 0, x
-    for c in coeffs:
+    polynomials of any length (theta_S has m + 1 coefficients); x is
+    raised once per gap between nonzero coefficients."""
+    out, y, at = 0, x, 0
+    for i, c in enumerate(coeffs):
         if c:
+            y, at = gf.frobenius(y, i - at), i
             out = gf.add(out, gf.mul(c, y))
-        y = gf.frobenius(y, 1)
     return out
 
 
@@ -133,7 +130,7 @@ def lp_compose(f: LinearizedPoly, g: LinearizedPoly) -> LinearizedPoly:
 
 
 class SubspaceSpec:
-    """An ordered independent set S with theta_S and cached Moore data."""
+    """An ordered independent set S with theta_S (Moore data: module functions)."""
 
     def __init__(self, gf, alphas, theta):
         self.gf = gf
@@ -141,9 +138,6 @@ class SubspaceSpec:
         self.m = len(self.alphas)
         self.theta = tuple(theta)  # m+1 coefficients, monic
         self._subspace = None
-        self._moore = {}
-        self._moore_inv = {}
-        self._monomial_table = {}
 
     # -- the subspace itself ---------------------------------------------
 
@@ -178,32 +172,10 @@ class SubspaceSpec:
     # -- Moore matrices -----------------------------------------------------
 
     def moore_matrix(self, s: int):
-        if gcd(s, self.gf.n) != 1:
-            raise GcdViolationError(f"gcd(s={s}, n={self.gf.n}) != 1")
-        if s not in self._moore:
-            gf = self.gf
-            self._moore[s] = tuple(
-                tuple(gf.frobenius(a, s * j) for j in range(self.m))
-                for a in self.alphas)
-        return self._moore[s]
+        return moore_matrix(self.gf, self.alphas, s)
 
     def moore_inverse(self, s: int):
-        if s not in self._moore_inv:
-            rows = [list(r) for r in self.moore_matrix(s)]
-            self._moore_inv[s] = tuple(tuple(r) for r in _linalg.generic_inv(rows, self.gf))
-        return self._moore_inv[s]
-
-    def monomial_reduction_table(self, s: int):
-        """Row i: transversal coefficients of X^(q^i) mod theta_S."""
-        if s not in self._monomial_table:
-            gf = self.gf
-            inv = self.moore_inverse(s)
-            table = []
-            for i in range(gf.n):
-                values = [gf.frobenius(a, i) for a in self.alphas]
-                table.append(_matvec(inv, values, gf))
-            self._monomial_table[s] = tuple(table)
-        return self._monomial_table[s]
+        return moore_inverse(self.gf, self.alphas, s)
 
     # -- coordinates in the alpha basis ------------------------------------
 
@@ -234,6 +206,24 @@ def subspace_poly(gf, alphas) -> SubspaceSpec:
             new[i] = gf.sub(new[i], gf.mul(scale, c))
         theta = new
     return SubspaceSpec(gf, alphas, theta)
+
+
+def moore_matrix(gf, points, s=1):
+    """(x_i^(q^(s j))) for x_i in points and j < len(points); invertible
+    exactly when the points are F_q-independent and gcd(s, n) = 1."""
+    if gcd(s, gf.n) != 1:
+        raise GcdViolationError(f"gcd(s={s}, n={gf.n}) != 1")
+    return tuple(tuple(gf.frobenius(x, s * j) for j in range(len(points))) for x in points)
+
+
+def moore_inverse(gf, points, s=1):
+    """Inverse of ``moore_matrix(gf, points, s)`` by one ``generic_inv`` per
+    (points, s), kept in the spec's ``_misc_cache``: column i is the map
+    taking points[i] to 1 and the others to 0.  SingularMatrixError if dependent."""
+    key = ("moore_inverse", tuple(points), s)
+    if key not in gf._misc_cache:
+        gf._misc_cache[key] = tuple(map(tuple, _linalg.generic_inv(moore_matrix(gf, points, s), gf)))
+    return gf._misc_cache[key]
 
 
 def _matvec(mat, vec, gf):
@@ -276,32 +266,22 @@ def shift_support(phi: LinearizedPoly, S: SubspaceSpec, s: int, t: int) -> froze
     """The index set A_{phi,t} = {j : some a makes coefficient j of
     phi(a X^(q^(t s))) mod theta_S nonzero}.
 
-    Uses the monomial expansion X^(q^i) = sum_j e_i^(j) X^(q^(s j)):
-    coefficient j of phi(a X^(q^(ts))) is sum_i d_i a^(q^i) e_{i+ts}^(j),
-    which is nonzero for some a exactly when some product d_i e_{i+ts}^(j)
-    is nonzero (the maps a -> a^(q^i) are linearly independent)."""
+    Uses X^(q^i) mod theta_S = sum_j e_i^(j) X^(q^(s j)): coefficient j
+    of phi(a X^(q^(ts))) is sum_i d_i a^(q^i) e_{i+ts}^(j), which is
+    nonzero for some a exactly when some product d_i e_{i+ts}^(j) is
+    nonzero (the maps a -> a^(q^i) are linearly independent)."""
     if not 0 <= t <= S.m - 1:
         raise ValueError(f"t = {t} outside 0..{S.m - 1}")
     gf = S.gf
-    table = S.monomial_reduction_table(s)
-    out = set()
-    for j in range(S.m):
-        for i, d in enumerate(phi.coeffs):
-            if d and table[(i + t * s) % gf.n][j]:
-                out.add(j)
-                break
-    return frozenset(out)
+    rows = [reduce_mod_theta(LinearizedPoly.monomial(gf, gf.one, i + t * s), S, s)
+            for i, d in enumerate(phi.coeffs) if d]
+    return frozenset(j for j in range(S.m) if any(row[j] for row in rows))
 
 
 def poly_from_values(gf, points, values) -> LinearizedPoly:
     """Interpolate the unique linearized polynomial with the given values
-    on an F_q-basis of F_{q^n} (an n x n Moore solve)."""
-    key = tuple(points)
-    if key not in gf._interp_cache:
-        mat = [[gf.frobenius(b, i) for i in range(gf.n)] for b in key]
-        gf._interp_cache[key] = _linalg.generic_inv(mat, gf)
-    inv = gf._interp_cache[key]
-    return LinearizedPoly(gf, _matvec(inv, list(values), gf))
+    on an F_q-basis of F_{q^n} (the n x n Moore solve)."""
+    return LinearizedPoly(gf, _matvec(moore_inverse(gf, points), list(values), gf))
 
 
 def poly_to_matrix(phi: LinearizedPoly):

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -367,3 +368,68 @@ def test_interpolation(f64):
         phi = randpoly(f64, rng)
         values = [phi(b) for b in basis]
         assert poly_from_values(f64, basis, values) == phi
+
+
+# -- the one Moore inverse --------------------------------------------------
+
+def _big_matmul(gf, a, b):
+    return tuple(tuple(functools.reduce(gf.add, map(gf.mul, row, col), 0) for col in zip(*b)) for row in a)
+
+
+def test_moore_inverse_times_moore_matrix_is_identity(f81, f64):
+    from rankmetric.linpoly import moore_inverse, moore_matrix
+    rng = random.Random(25)
+    cases = [(f64, f64.power_basis(), 1)]
+    while len(cases) < 21:
+        cand = [rng.randrange(1, 81) for _ in range(3)]
+        try:
+            subspace_poly(f81, cand)
+        except DependentSetError:
+            continue
+        cases += [(f81, cand, s) for s in (1, 3)]
+    for gf, points, s in cases:
+        m = len(points)
+        identity = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+        assert _big_matmul(gf, moore_inverse(gf, points, s), moore_matrix(gf, points, s)) == identity
+
+
+def test_moore_inverse_rejects_dependent_points(f81):
+    from rankmetric.errors import SingularMatrixError
+    from rankmetric.linpoly import moore_inverse
+    xi = f81.generator
+    with pytest.raises(SingularMatrixError):
+        moore_inverse(f81, (1, xi, f81.add(1, xi)))
+
+
+def test_one_generic_inv_serves_interpolation_reduction_and_monomial_forms(monkeypatch):
+    from rankmetric import _linalg
+    from rankmetric.autgroup import monomial_forms
+    from rankmetric.gf import field_create
+    calls, real = [], _linalg.generic_inv
+    monkeypatch.setattr(_linalg, "generic_inv", lambda rows, ops: calls.append(len(rows)) or real(rows, ops))
+    gf = field_create(2, 1, 6)  # a fresh spec caches nothing yet
+    basis = gf.power_basis()
+    phi = randpoly(gf, random.Random(26))
+    values = [phi(b) for b in basis]
+    assert poly_from_values(gf, basis, values) == phi
+    assert poly_from_values(gf, basis, values) == phi
+    assert matrix_to_poly(gf, poly_to_matrix(phi)) == phi
+    assert monomial_forms(gf, [], 2) == []
+    assert reduce_mod_theta(phi, subspace_poly(gf, basis), 1) == phi.coeffs
+    assert calls == [6]
+
+
+def test_eval_raises_x_once_per_gap_between_coefficients(monkeypatch):
+    from rankmetric.gf import FieldSpec, field_create
+    gf = field_create(2, 1, 17, [1, 0, 0, 1] + [0] * 13 + [1])  # x^17 + x^3 + 1, no tables
+    a, x = gf.generator, 12345
+    want_5 = gf.mul(a, gf.frobenius(x, 5))
+    want_gaps = functools.reduce(gf.add, (gf.mul(a, gf.frobenius(x, i)) for i in (0, 3, 16)))
+    calls, real = [], FieldSpec.pow
+    monkeypatch.setattr(FieldSpec, "pow", lambda self, b, t: calls.append(t) or real(self, b, t))
+    assert LinearizedPoly.monomial(gf, a, 0)(x) == gf.mul(a, x)
+    assert calls == []
+    assert LinearizedPoly.monomial(gf, a, 5)(x) == want_5
+    assert len(calls) == 1
+    assert LinearizedPoly(gf, [a if i in (0, 3, 16) else 0 for i in range(17)])(x) == want_gaps
+    assert len(calls) == 3
