@@ -15,9 +15,9 @@ kernel every layer shares.  One elimination loop, three arithmetics.
   Callers keep every stack under STACK_BUDGET entries (``stack_chunks``),
   which bounds peak memory.
 * ``generic_*`` functions run schoolbook Gaussian elimination on rows of
-  packed elements with a FieldSpec-like ops object.  They serve matrices
-  over the big field F_{q^n} (Moore matrices, interpolation) and are the
-  tests' slow reference for the kernel.
+  packed elements with a FieldSpec-like ops object.  They are the tests'
+  slow reference for the kernel; the library's one call is the Moore
+  inverse over F_{q^n}, ``generic_inv`` in ``linpoly.moore_inverse``.
 * ``fq_*`` functions take rows of packed F_q elements of a field spec,
   map them to indices, run the kernel and map the results back, so
   everything sorted, serialized or compared stays packed (``packed_mats``
