@@ -6,10 +6,11 @@ kernel every layer shares.  One elimination loop, three arithmetics.
   Their field argument is a prime p or an arithmetic: ``fq_arith(gf)``
   gives ``PrimeField`` (index = value, ``a*b % p``, Fermat inverses) or,
   for e > 1, ``TableField`` (O(q) log/exp tables, digitwise F_p sums);
-  ``BitField`` packs an F_2 row of n <= 62 entries into one word (sums
-  are XORs).  ``modp_rref`` is the single elimination loop: one matrix
-  (R, C) or a stack (G, R, C), eliminated column by column with one
-  vectorised update per column.  Rank, nullspace and inverse are read
+  ``BitField`` packs an F_2 row of n entries into ceil(n / 64) int64
+  words (sums are XORs).  ``modp_rref`` is the single elimination loop:
+  one matrix (R, C) or a stack (G, R, C), eliminated column by column
+  with one vectorised update per column; F_2 given as p = 2 runs on
+  words, packed on entry and unpacked on exit.  Rank, nullspace and inverse are read
   off it per matrix of a stack, the reduction transform and a span's
   dual for a matrix; ``modp_span`` builds a span as stacked chunks.
   Callers keep every stack under STACK_BUDGET entries (``stack_chunks``),
@@ -174,33 +175,42 @@ class TableField(_EntryRows):
 
 
 class BitField:
-    """F_2 with a row of n <= 62 entries packed into one int64 word (bit j
-    is entry j), so a matrix (R, n) is stored as (R, 1) words; a product
-    with a 0/1 scalar is a multiply and a sum a XOR: the packed rows of
-    M4RI (Albrecht, Bard & Hart, "Algorithm 898", ACM TOMS 37(1), 2010)
-    without its Four-Russians tables.  Serves modp_rref/rank/nullspace/span."""
+    """F_2 with a row of n entries packed into ceil(n / 64) int64 words,
+    entry j in bit j % 64 of word j // 64, so a matrix (R, n) is stored as
+    (R, ceil(n / 64)) words; a product with a 0/1 scalar is a multiply and
+    a sum a XOR, both exact on the sign bit: the packed rows of M4RI
+    (Albrecht, Bard & Hart, "Algorithm 898", ACM TOMS 37(1), 2010) without
+    its Four-Russians tables.  ``modp_rref`` runs every F_2 elimination on
+    it; ``index`` and ``packed`` pass through uint8 bytes, so no temporary
+    is wider than the entry array."""
 
     q = 2
 
     def __init__(self, n):
-        if n > 62:
-            raise ValueError(f"BitField packs at most 62 columns into a word, got {n}")
         self.n = n
-        self._bits = np.arange(n, dtype=np.int64)
+        self.words = -(-n // 64)
 
     def index(self, packed):
-        return (np.asarray(packed, dtype=np.int64) << self._bits).sum(axis=-1, keepdims=True)
+        """0/1 entries (..., n), any integers read mod 2, as words (..., ceil(n / 64))."""
+        bits = np.asarray(packed).astype(np.uint8)
+        bits &= 1
+        octets = np.packbits(bits, axis=-1, bitorder="little")
+        out = np.zeros(bits.shape[:-1] + (8 * self.words,), dtype=np.uint8)
+        out[..., :octets.shape[-1]] = octets
+        return out.view("<i8")
 
     def packed(self, words):
-        return words >> self._bits & 1
+        """Word rows (..., ceil(n / 64)) as 0/1 entries (..., n)."""
+        octets = np.ascontiguousarray(words, dtype="<i8").view(np.uint8)
+        return np.unpackbits(octets, axis=-1, count=self.n, bitorder="little").astype(np.int64)
 
-    unpack = packed  # word rows (R, 1) -> 0/1 entries (R, n)
+    unpack = packed
 
     def entries(self, a):
         return np.array(a, dtype=np.int64)
 
     def column(self, r, j):
-        return r[..., 0] >> j & 1
+        return r[..., j >> 6] >> (j & 63) & 1
 
     def width(self, r):
         return self.n
@@ -270,7 +280,9 @@ def modp_rref(a, p, ncols=None):
     """Reduced row echelon form over F_q (``p`` a prime or an arithmetic
     object) of a matrix (R, C), or of every matrix of a stack (G, R, C),
     eliminated together column by column.  Under ``BitField`` the rows
-    are words, C = 1, and the n bits are the columns.
+    are words, C = ceil(n / 64), and the n bits are the columns.  F_2
+    given as 2 or ``PrimeField(2)`` is eliminated the same way: the rows
+    are packed into words on entry and the RREF unpacked on exit.
 
     Returns (R, pivots).  For a matrix, ``pivots`` is the list of pivot
     columns; for a stack, a (G, R) array holding the pivot column of each
@@ -283,7 +295,12 @@ def modp_rref(a, p, ncols=None):
     the whole stack.  Rows are sorted by pivot column at the end; the
     RREF is unique, so the choice of pivot row does not show."""
     f = _field(p)
-    r = f.entries(a)
+    packs = isinstance(f, PrimeField) and f.p == 2
+    if packs:
+        f = BitField(np.shape(a)[-1])
+        r = f.index(a)
+    else:
+        r = f.entries(a)
     single = r.ndim == 2
     if single:
         r = r[None]
@@ -313,6 +330,8 @@ def modp_rref(a, p, ncols=None):
             break
     order = np.argsort(pivots, axis=1, kind="stable")
     r, pivots = r[mats[:, None], order], pivots[mats[:, None], order]
+    if packs:
+        r = f.unpack(r)
     if single:
         return r[0], [int(c) for c in pivots[0] if c < ncols]
     pivots[pivots == ncols] = -1

@@ -229,18 +229,22 @@ class RankCode:
         every A whose space is zero; one rho per solve.  B pairs to zero
         with (A X^rho)^T H for every basis X and dual row H, one row per
         (X, H), X-major; the systems of a chunk of A are built and solved
-        as one stack under STACK_BUDGET.  Over F_2 each row is built as one
-        ``BitField`` word, bit j n + k holding entry (j, k): the (A X^rho)^T
-        entries times the parity words, whose row (j, i) is row i of H as a
-        word shifted by j n, so a chunk is sized by its m n dim entries per
-        A.  A = I (``np.eye``), rho = 0 gives the right nucleus."""
+        as one stack under STACK_BUDGET.  Over F_2 each row is built as
+        ceil(n^2 / 64) ``BitField`` words, bit j n + k holding entry (j, k):
+        the (A X^rho)^T entries times the parity words, whose row (j, i) is
+        row i of H placed at bit offset j n, so a chunk is sized by its
+        entries and words per A, not by dim |H| n^2 entries.  A = I
+        (``np.eye``), rho = 0 gives the right nucleus."""
         f, m, n, dim = _linalg.fq_arith(self.gf), self.m, self.n, self.dim
         xs = f.index(np.reshape([mat_frobenius_p(self.gf, x, rho) for x in self.basis], (dim, m, n)))
         hr = f.index(self.parity_rows()).reshape(-1, m, n)
         nh = len(hr)
-        if _packs(self.gf.q, n * n):
-            kernel, per_a = _linalg.BitField(n * n), dim * m * n
-            hw = (_linalg.BitField(n).index(hr)[..., 0].T << n * np.arange(n)[:, None, None]).reshape(n * m, nh)
+        if self.gf.q == 2:
+            kernel = _linalg.BitField(n * n)
+            per_a = dim * max(m * n, nh * kernel.words)
+            blocks = np.zeros((n, m, nh, n, n), dtype=np.uint8)  # (j, i, H, j', k): H[i, k] where j' = j
+            blocks[np.arange(n), :, :, np.arange(n)] = hr.transpose(1, 0, 2)
+            hw = kernel.index(blocks.reshape(n, m, nh, n * n)).reshape(n * m, nh * kernel.words)
         else:
             kernel, per_a = f, dim * nh * n * n
         for chunk in _linalg.stack_chunks(lefts, per_a):
@@ -248,7 +252,7 @@ class RankCode:
             if kernel is f:
                 systems = f.matmul(axt[:, :, None], hr).reshape(len(chunk), dim * nh, n * n)
             else:
-                systems = kernel.matmul(axt.reshape(len(chunk), dim, n * m), hw).reshape(len(chunk), dim * nh, 1)
+                systems = kernel.matmul(axt.reshape(len(chunk), dim, n * m), hw).reshape(len(chunk), dim * nh, kernel.words)
             yield from ((a, null) for a, null in zip(chunk, _linalg.modp_nullspace(systems, kernel)) if null)
 
     def codewords(self, include_zero=True, guard=ENUM_GUARD):
@@ -337,15 +341,10 @@ def rank_weight_distribution(code: RankCode, guard=ENUM_GUARD) -> list:
     return _hist_by_subspaces(code.gf, basis) if sub < cw else _hist_by_codewords(code.gf, basis)
 
 
-def _packs(q, width):
-    """Does a row of ``width`` F_q entries go into one ``BitField`` word?"""
-    return q == 2 and width <= 62
-
-
 def _rank_arith(gf, width):
     """The kernel arithmetic for rows of ``width`` F_q entries: packed
-    words over F_2 when a row fits a word, else ``fq_arith``."""
-    return _linalg.BitField(width) if _packs(gf.q, width) else _linalg.fq_arith(gf)
+    words over F_2, else ``fq_arith``."""
+    return _linalg.BitField(width) if gf.q == 2 else _linalg.fq_arith(gf)
 
 
 def gaussian_binomial(a: int, b: int, q: int) -> int:
@@ -367,10 +366,10 @@ def _work(q, m, n, dim):
     """Exact work counts (codewords, subspaces) of the two histogram
     paths for a dim-dimensional code in F_q^(m x n), m <= n.  A kernel
     call on a stack of matrices with ``cols`` columns counts cols x (its
-    stored entries + _PASS_WORK), a packed F_2 row one entry; each pivot
-    set of the subspace path counts 2 x _PASS_WORK."""
+    stored entries + _PASS_WORK), a packed F_2 row one entry per word;
+    each pivot set of the subspace path counts 2 x _PASS_WORK."""
     def row(width):
-        return 1 if _packs(q, width) else width
+        return -(-width // 64) if q == 2 else width
 
     def stacks(items, per_item, cols):
         calls = -(-items // _linalg.chunk_len(per_item))
@@ -387,7 +386,7 @@ def _hist_by_codewords(gf, basis) -> list:
     basis (``modp_span``) and ranked as stacks (``modp_rank``)."""
     dim, m, n = basis.shape
     f = _rank_arith(gf, n)
-    basis = f.index(basis)  # rows of one word under BitField
+    basis = f.index(basis)  # rows of words under BitField
     hist = np.zeros(m + 1, dtype=np.int64)
     for words in _linalg.modp_span(basis.reshape(dim, m * basis.shape[2]), f):
         hist += np.bincount(_linalg.modp_rank(words.reshape(-1, *basis.shape[1:]), f), minlength=m + 1)
@@ -406,7 +405,7 @@ def _hist_by_subspaces(gf, basis) -> list:
     dim, m, n = basis.shape
     q = gf.q
     f = _rank_arith(gf, dim)
-    cols = f.index(np.moveaxis(basis, 0, -1))  # (m, n, dim), or (m, n, 1) words
+    cols = f.index(np.moveaxis(basis, 0, -1))  # (m, n, dim), or (m, n, ceil(dim / 64)) words
     wd = cols.shape[2]
     cols = cols.reshape(m, n * wd)
     counts = [1] + [0] * (m - 1) + [q ** dim]  # B_0, ..., B_m

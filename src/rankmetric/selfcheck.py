@@ -174,14 +174,16 @@ def run_selfcheck(instance, aut_payload, json_write) -> int:
     def stacked_kernel():
         krng = random.Random(20240404)
         f2, f4, f9 = field_create(2, 1, 1), field_create(2, 2, 1), field_create(3, 2, 1)
-        for gf, f in ((f2, _linalg.BitField(4)), (f4, _linalg.fq_arith(f4)), (f9, _linalg.fq_arith(f9))):
-            stack = [[[krng.choice(gf.fq_list()) for _ in range(4)] for _ in range(3)] for _ in range(12)]
+        for gf, f, width in ((f2, _linalg.BitField(4), 4), (f2, _linalg.BitField(70), 70),
+                             (f4, _linalg.fq_arith(f4), 4), (f9, _linalg.fq_arith(f9), 4)):
+            stack = [[[krng.choice(gf.fq_list()) for _ in range(width)] for _ in range(3)] for _ in range(12)]
             stack[0][2] = stack[0][0]  # a dependent row
             r, pivots = _linalg.modp_rref(f.index(stack), f)
             for mat, rmat, piv in zip(stack, r, pivots):
                 want = _linalg.generic_rref(mat, gf)
                 assert (f.packed(rmat).tolist(), [c for c in piv.tolist() if c >= 0]) == want
-    _check("stacked F_q kernel agrees with generic_rref on packed F_2, F_4 and F_9", stacked_kernel, failures)
+    _check("stacked F_q kernel agrees with generic_rref on packed F_2 (one word and two words a row), "
+           "F_4 and F_9", stacked_kernel, failures)
 
     def histogram_paths():
         import numpy as np

@@ -602,3 +602,61 @@ def test_a_reader_closing_the_pipe_ends_the_run_with_exit_5_and_no_traceback():
         proc.wait()
     assert "Traceback" not in err and "Exception ignored" not in err, err
     assert "output closed" in err
+
+
+def _child(args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return [sys.executable, "-m", "rankmetric.cli", *args], env
+
+
+SMALL_AUT = "aut --p 2 --e 1 --n 3 --m 2 --k 1 --s 1 --h 0 --eta 0 --subspace generic:0".split()
+
+
+@pytest.mark.parametrize("args, code, to_file", [
+    (SMALL_AUT, 0, False),
+    (SMALL_AUT, 0, True),
+    (["construct", "--p", "2", "--e", "1", "--n", "4", "--m", "3", "--k", "3"], 2, False),
+    (["construct", "--p", "3", "--e", "1", "--n", "200000000", "--m", "2", "--k", "1"], 3, True),
+], ids=["exit-0-stdout", "exit-0-file", "exit-2", "exit-3"])
+def test_the_command_writes_what_main_writes(tmp_path, capsys, args, code, to_file):
+    # the command ends with os._exit after flushing: every byte main() writes
+    # in-process still reaches stdout, stderr and the --output file
+    out = tmp_path / "in.json"
+    assert run(args + (["--output", str(out)] if to_file else [])) == code
+    captured = capsys.readouterr()
+    child_out = tmp_path / "child.json"
+    cmd, env = _child(args + (["--output", str(child_out)] if to_file else []))
+    proc = subprocess.run(cmd, env=env, capture_output=True, timeout=120)
+    assert proc.returncode == code
+    assert proc.stdout == captured.out.encode() and proc.stderr == captured.err.encode()
+    assert (child_out.read_bytes() if child_out.exists() else None) == (out.read_bytes() if out.exists() else None)
+    assert out.exists() == (to_file and code == 0) and bool(captured.out) == (not to_file and code == 0)
+
+
+def test_the_command_stopped_by_its_reader_wrote_what_main_writes(capsys):
+    # exit 5: what the reader took before it closed the pipe is the start of
+    # what main() writes in-process
+    args = "aut --p 7 --e 1 --n 3 --m 2 --k 1 --s 1 --h 1 --eta nonsquare-min --subspace generic:1".split()
+    assert run(args) == 0
+    want = capsys.readouterr().out.encode()
+    cmd, env = _child(args)
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        got = proc.stdout.read(1 << 16)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 5
+    finally:
+        proc.kill()
+        proc.wait()
+    assert len(got) == 1 << 16 and want.startswith(got) and len(want) > 1 << 20
+    assert err == b"output closed before it was written in full\n"
+
+
+def test_the_command_under_cprofile_still_prints_its_profile(tmp_path):
+    # with a profiler attached the command exits through the interpreter's
+    # teardown, where cProfile prints its table
+    cmd, env = _child(SMALL_AUT + ["--output", str(tmp_path / "aut.json")])
+    proc = subprocess.run([cmd[0], "-m", "cProfile", *cmd[1:]], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0 and b"function calls" in proc.stdout and b"Ordered by" in proc.stdout
+    assert json.loads((tmp_path / "aut.json").read_text())["summary"]["order"] > 0

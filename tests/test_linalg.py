@@ -14,6 +14,7 @@ from rankmetric.autgroup import (
     gl_order,
     triple_acts,
 )
+from rankmetric.errors import SingularMatrixError
 from rankmetric.gf import field_create
 from rankmetric.linpoly import subspace_poly
 from rankmetric.rankcode import (
@@ -148,8 +149,48 @@ def test_stacked_modp_rref_matches_generic_rref(p, shape):
             single_null = _linalg.modp_nullspace(bits.index(mat), bits)  # a matrix is a stack of one
             assert [v.tolist() for v in single_null] == [v.tolist() for v in null]
         assert len(packed_nulls[1]) == shape[2]
-        with pytest.raises(ValueError):
-            _linalg.BitField(63)                   # a row must fit one int64 word
+
+
+@pytest.mark.parametrize("width", [63, 64, 65, 128, 129, 200])
+def test_multiword_f2_kernel_matches_generic(width):
+    # rows of several words: F_2 given as 2 (packed inside modp_rref) and as
+    # BitField words, against the generic path and matrix products
+    ops = field_create(2, 1, 1)
+    rng = np.random.default_rng(width)
+    stack = rng.integers(0, 2, size=(5, 6, width))
+    stack[1] = 0                                   # an all-zero matrix
+    stack[2, -1] = stack[2, 0] ^ stack[2, 1]       # a dependent row
+    stack[3, :, :width - 3] = 0                    # pivots in the last word, bit 63 at width 64
+    stack[4, :, 60:70] = 0                         # zero columns across a word boundary
+    bits = _linalg.BitField(width)
+    words = bits.index(stack)
+    assert words.shape == (5, 6, -(-width // 64)) and (bits.packed(words) == stack).all()
+    want = [_linalg.generic_rref(mat.tolist(), ops) for mat in stack]
+    r, pivots = _linalg.modp_rref(stack, 2)
+    r_words, pivots_words = _linalg.modp_rref(words, bits)
+    assert (bits.packed(r_words) == r).all() and (pivots_words == pivots).all()
+    for mat, rmat, piv, (want_r, want_pivots) in zip(stack, r, pivots, want):
+        assert rmat.tolist() == want_r and [int(c) for c in piv if c >= 0] == want_pivots
+        single, single_pivots = _linalg.modp_rref(mat, _linalg.PrimeField(2))  # a matrix is a stack of one
+        assert single.tolist() == want_r and single_pivots == want_pivots
+        single_words, _ = _linalg.modp_rref(bits.index(mat), bits)
+        assert bits.packed(single_words).tolist() == want_r
+    assert _linalg.modp_rank(words, bits).tolist() == [len(p) for _, p in want]
+    for mat, null, null_words in zip(stack, _linalg.modp_nullspace(stack, 2), _linalg.modp_nullspace(words, bits)):
+        want_null = _linalg.generic_nullspace(mat.tolist(), ops)
+        assert [v.tolist() for v in null] == want_null and [v.tolist() for v in null_words] == want_null
+    # ncols: the reduction transform of each matrix, eliminated on width + 6 columns
+    red, e, red_pivots = _linalg.modp_reduction(stack, 2)
+    assert (red == r).all() and (red_pivots == pivots).all()
+    assert (e @ stack % 2 == r).all() and (_linalg.modp_rank(e, 2) == 6).all()
+    # square matrices whose [a | I] rows run over width columns
+    k = -(-width // 2)
+    mats = np.array([a for a in rng.integers(0, 2, size=(24, k, k)) if _linalg.modp_rank(a, 2) == k][:3])
+    inv = _linalg.modp_inv(mats, 2)
+    assert len(mats) and (inv @ mats % 2 == np.eye(k, dtype=np.int64)).all()
+    assert (_linalg.modp_inv(mats[0], 2) == inv[0]).all()
+    with pytest.raises(SingularMatrixError):
+        _linalg.modp_inv(np.zeros((k, k), dtype=np.int64), 2)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 257])

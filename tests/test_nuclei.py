@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rankmetric import rankcode
-from rankmetric._linalg import chunk_len, fq_arith, fq_rref, packed_mats
+from rankmetric._linalg import chunk_len, fq_arith, fq_rref, generic_nullspace, packed_mats
 from rankmetric.autgroup import enumerate_gl
 from rankmetric.cli import _guards, resolve_instance
 from rankmetric.errors import HypothesisNotMetError, OneNotInSError
@@ -548,29 +548,40 @@ def test_nucleus_is_every_matrix_found_by_enumeration(side, p, e, n, m):
     assert len(orders) > 1  # not only the scalars
 
 
-# (m, n, dims): random F_2 codes of these dimensions, near m n so that
-# most A have a nonzero B-space, against A = I and then all of GL(m, 2):
-# several chunks of A, the last one partial
-PACKED_CELLS = [(3, 5, (14, 13)), (4, 4, (15,))]
+# (m, n, dims, stride): random F_2 codes of these dimensions, near m n so
+# that most A have a nonzero B-space, against A = I and then every
+# stride-th A of GL(m, 2): several chunks of A, the last one partial;
+# n = 9 gives systems of 81 columns, two words a row
+PACKED_CELLS = [(3, 5, (14, 13), 1), (4, 4, (15,), 31), (3, 9, (26,), 1)]
 
 
-@pytest.mark.parametrize("m, n, dims", PACKED_CELLS, ids=[f"m{m}-n{n}" for m, n, _ in PACKED_CELLS])
-def test_packed_stabilizers_match_the_unpacked_path(monkeypatch, m, n, dims):
-    # the systems built as BitField words against PrimeField(2) entry rows
-    gf = field_create(2, 1, n)
+def _entry_systems(code, a):
+    # the rows (A X)^T H of one A, X-major, as n^2 entries each: numpy
+    # products mod 2, no kernel (F_2 elements are their own indices)
+    m, n = code.m, code.n
+    xs = np.array(code.basis).reshape(-1, m, n)
+    hs = np.array(code.parity_rows()).reshape(-1, m, n)
+    return (np.einsum("xij,hik->xhjk", a @ xs % 2, hs) % 2).reshape(-1, n * n).tolist()
+
+
+@pytest.mark.parametrize("m, n, dims, stride", PACKED_CELLS, ids=[f"m{m}-n{n}" for m, n, _, _ in PACKED_CELLS])
+def test_packed_stabilizers_match_the_unpacked_path(m, n, dims, stride):
+    # the systems built as BitField words against generic_nullspace on the
+    # entry systems
+    gf, ops = field_create(2, 1, n), field_create(2, 1, 1)
     f = fq_arith(gf)
     rng = random.Random(f"packed-{m}-{n}")
-    lefts = [np.eye(m, dtype=np.int64), *enumerate_gl(gf, m)]
+    lefts = [np.eye(m, dtype=np.int64), *itertools.islice(enumerate_gl(gf, m), 0, None, stride)]
+    words = -(-n * n // 64)
     for dim in dims:
         rows, pivots = [], ()
         while len(pivots) < dim:
             rows, pivots = fq_rref([[rng.randrange(2) for _ in range(m * n)] for _ in range(dim)], gf)
         code = RankCode(gf, m, [vec_mat(row, m, n) for row in rows])
-        assert len(lefts) > chunk_len(dim * m * n) and len(lefts) % chunk_len(dim * m * n)
+        per_a = dim * max(m * n, (m * n - dim) * words)
+        assert len(lefts) > chunk_len(per_a) and len(lefts) % chunk_len(per_a)
         packed = [(packed_mats(f, a), [v.tolist() for v in null]) for a, null in code.right_stabilizers(lefts)]
-        with monkeypatch.context() as mp:
-            mp.setattr(rankcode, "_packs", lambda q, width: False)
-            plain = [(packed_mats(f, a), [v.tolist() for v in null]) for a, null in code.right_stabilizers(lefts)]
+        plain = [(packed_mats(f, a), null) for a in lefts if (null := generic_nullspace(_entry_systems(code, a), ops))]
         assert packed == plain and len(packed) > 24
         assert packed[0][0] == mat_identity(gf, m)  # A = I, rho = 0: the right nucleus
 

@@ -420,6 +420,16 @@ def test_histogram_cells_lie_on_both_sides_of_the_cost_rule():
     assert sides == {q: {True, False} for q in (2, 3, 4, 5, 7, 8)}
 
 
+def test_work_counts_a_packed_f2_row_as_its_words():
+    # on F_2, rows of n = 100 and dim = 70 entries are two words each: a
+    # codeword stack holds 2 m words per codeword (chunks of 4096 codewords),
+    # a subspace stack 2 n words per H (the 3 lines of F_2^2, one chunk)
+    from rankmetric.rankcode import _PASS_WORK, _work
+    codewords = 100 * (2 ** 70 * 2 * 2 + _PASS_WORK * 2 ** 70 // 4096)
+    subspaces = 70 * (3 * 100 * 2 + _PASS_WORK) + 2 * _PASS_WORK * 2
+    assert _work(2, 2, 100, 70) == (codewords, subspaces)
+
+
 def test_histogram_paths_agree_on_the_transposed_side():
     # m > n: the paths work on the transposed basis, min(m, n) = n
     from rankmetric.gf import field_create
