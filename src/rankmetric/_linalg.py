@@ -10,11 +10,11 @@ kernel every layer shares.  One elimination loop, three arithmetics.
   words (sums are XORs).  ``modp_rref`` is the single elimination loop:
   one matrix (R, C) or a stack (G, R, C), eliminated column by column
   with one vectorised update per column; F_2 given as p = 2 runs on
-  words, packed on entry and unpacked on exit.  Rank, nullspace and inverse are read
-  off it per matrix of a stack, the reduction transform and a span's
-  dual for a matrix; ``modp_span`` builds a span as stacked chunks.
-  Callers keep every stack under STACK_BUDGET entries (``stack_chunks``),
-  which bounds peak memory.
+  words, packed on entry and unpacked on exit.  Rank, nullspace and
+  inverse are read off it per matrix of a stack, the reduction transform
+  and a span's dual for a matrix; ``modp_span`` builds a span as stacked
+  chunks.  Callers keep every stack under STACK_BUDGET entries
+  (``stack_chunks``), which bounds peak memory.
 * ``generic_*`` functions run schoolbook Gaussian elimination on rows of
   packed elements with a FieldSpec-like ops object.  They are the tests'
   slow reference for the kernel; the library's one call is the Moore

@@ -252,7 +252,8 @@ class RankCode:
             if kernel is f:
                 systems = f.matmul(axt[:, :, None], hr).reshape(len(chunk), dim * nh, n * n)
             else:
-                systems = kernel.matmul(axt.reshape(len(chunk), dim, n * m), hw).reshape(len(chunk), dim * nh, kernel.words)
+                systems = kernel.matmul(axt.reshape(len(chunk), dim, n * m), hw)
+                systems = systems.reshape(len(chunk), dim * nh, kernel.words)
             yield from ((a, null) for a, null in zip(chunk, _linalg.modp_nullspace(systems, kernel)) if null)
 
     def codewords(self, include_zero=True, guard=ENUM_GUARD):
@@ -369,7 +370,7 @@ def _work(q, m, n, dim):
     stored entries + _PASS_WORK), a packed F_2 row one entry per word;
     each pivot set of the subspace path counts 2 x _PASS_WORK."""
     def row(width):
-        return -(-width // 64) if q == 2 else width
+        return _linalg.BitField(width).words if q == 2 else width
 
     def stacks(items, per_item, cols):
         calls = -(-items // _linalg.chunk_len(per_item))
