@@ -5,7 +5,6 @@ import time
 import numpy as np
 import pytest
 
-from rankmetric import rankcode
 from rankmetric._linalg import chunk_len, fq_arith, fq_rref, generic_nullspace, packed_mats
 from rankmetric.autgroup import enumerate_gl
 from rankmetric.cli import _guards, resolve_instance
