@@ -191,9 +191,11 @@ class BitField:
         self.words = -(-n // 64)
 
     def index(self, packed):
-        """0/1 entries (..., n), any integers read mod 2, as words (..., ceil(n / 64))."""
-        bits = np.asarray(packed).astype(np.uint8)
-        bits &= 1
+        """0/1 entries (..., n), any integers read mod 2, as words (..., ceil(n / 64)).
+        Booleans are packed as they are; other entries through one uint8 copy."""
+        bits = np.asarray(packed)
+        if bits.dtype != bool:
+            bits = np.bitwise_and(bits, 1, dtype=np.uint8, casting="unsafe")
         octets = np.packbits(bits, axis=-1, bitorder="little")
         out = np.zeros(bits.shape[:-1] + (8 * self.words,), dtype=np.uint8)
         out[..., :octets.shape[-1]] = octets

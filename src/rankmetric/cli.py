@@ -542,13 +542,21 @@ def main(argv=None) -> int:
         return 5
 
 
-if __name__ == "__main__":
-    code = main()
+def run(argv=None):
+    """The command, both ``rankmetric`` and ``python -m rankmetric.cli``:
+    ``main`` and then exit with its code, skipping the interpreter's
+    teardown (module and object finalisation, 12-27 ms of CPU per run)
+    once stdout and stderr are flushed; every other output is written and
+    closed by then.  With a profiler or tracer attached it exits through
+    the teardown, where they report."""
+    code = main(argv)
     monitoring = getattr(sys, "monitoring", None)  # Python 3.12+: cProfile and coverage attach here
     if sys.getprofile() or sys.gettrace() or (monitoring and any(map(monitoring.get_tool, range(6)))):
-        sys.exit(code)  # a profiler or tracer reports in the interpreter's teardown
-    # Every output is written and closed: skip the teardown (module and
-    # object finalisation, 12-27 ms of CPU per run) once the streams are flushed.
+        sys.exit(code)
     sys.stdout.flush()
     sys.stderr.flush()
     os._exit(code)
+
+
+if __name__ == "__main__":
+    run()

@@ -242,9 +242,13 @@ class RankCode:
         if self.gf.q == 2:
             kernel = _linalg.BitField(n * n)
             per_a = dim * max(m * n, nh * kernel.words)
-            blocks = np.zeros((n, m, nh, n, n), dtype=np.uint8)  # (j, i, H, j', k): H[i, k] where j' = j
-            blocks[np.arange(n), :, :, np.arange(n)] = hr.transpose(1, 0, 2)
-            hw = kernel.index(blocks.reshape(n, m, nh, n * n)).reshape(n * m, nh * kernel.words)
+            hw = np.empty((n, m, nh, kernel.words), dtype=np.int64)
+            block = np.zeros((m, nh, n * n), dtype=bool)  # (i, H, bit): one j at a time, m |H| n^2 bytes
+            for j in range(n):
+                block[..., j * n:(j + 1) * n] = hr.transpose(1, 0, 2)
+                hw[j] = kernel.index(block)
+                block[..., j * n:(j + 1) * n] = False
+            hw = hw.reshape(n * m, nh * kernel.words)
         else:
             kernel, per_a = f, dim * nh * n * n
         for chunk in _linalg.stack_chunks(lefts, per_a):

@@ -17,6 +17,18 @@ def run(args):
     return main(args)
 
 
+# the two ways to start the command: the module, and what the ``rankmetric``
+# console script runs
+LAUNCHERS = {"module": ["-m", "rankmetric.cli"],
+             "script": ["-c", "import sys; from rankmetric.cli import run; sys.exit(run())"]}
+
+
+def _child(args, launcher="module"):
+    """The command line and environment of a child running the command."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return [sys.executable, *LAUNCHERS[launcher], *args], env
+
+
 def test_construct_writes_code(tmp_path, capsys):
     out = tmp_path / "code.json"
     rc = run(["construct", "--p", "3", "--e", "1", "--n", "4", "--m", "3",
@@ -454,9 +466,8 @@ def test_output_path_that_is_a_number_or_boolean_exits_2(tmp_path, path):
     try:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(SMALL_CONSTRUCT, output={"path": w if path == "pipe-fd" else path})))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "rankmetric.cli", "construct", "--config", str(cfg)],
-                              env=env, capture_output=True, pass_fds=(w,), timeout=120)
+        cmd, env = _child(["construct", "--config", str(cfg)])
+        proc = subprocess.run(cmd, env=env, capture_output=True, pass_fds=(w,), timeout=120)
     finally:
         os.close(w)
     with os.fdopen(r, "rb") as fh:
@@ -585,28 +596,26 @@ def test_sweep_misspelled_grid_axis_exits_2(tmp_path, capsys):
     assert "unknown sweep grid axis 'subspce' (allowed: p, e, n, m, k, s, h, eta, subspace)" in captured.err
 
 
-def test_a_reader_closing_the_pipe_ends_the_run_with_exit_5_and_no_traceback():
+def test_a_reader_closing_the_pipe_ends_the_run_with_exit_5_and_no_traceback(capsys):
     # the F_{7^3}, m = 2 group writes 2.75 MB, far more than a pipe holds,
-    # so the write after the reader closes fails with EPIPE
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    # so the write after the reader closes fails with EPIPE; what the reader
+    # took is the start of what main() writes in-process
     args = "aut --p 7 --e 1 --n 3 --m 2 --k 1 --s 1 --h 1 --eta nonsquare-min --subspace generic:1".split()
-    proc = subprocess.Popen([sys.executable, "-m", "rankmetric.cli", *args], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert run(args) == 0
+    want = capsys.readouterr().out.encode()
+    cmd, env = _child(args)
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
-        assert proc.stdout.read(100).startswith(b"{")
+        got = proc.stdout.read(1 << 16)
         proc.stdout.close()
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 5
     finally:
         proc.kill()
         proc.wait()
+    assert len(got) == 1 << 16 and want.startswith(got) and len(want) > 1 << 20
     assert "Traceback" not in err and "Exception ignored" not in err, err
-    assert "output closed" in err
-
-
-def _child(args):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    return [sys.executable, "-m", "rankmetric.cli", *args], env
+    assert err == "output closed before it was written in full\n"
 
 
 SMALL_AUT = "aut --p 2 --e 1 --n 3 --m 2 --k 1 --s 1 --h 0 --eta 0 --subspace generic:0".split()
@@ -618,39 +627,20 @@ SMALL_AUT = "aut --p 2 --e 1 --n 3 --m 2 --k 1 --s 1 --h 0 --eta 0 --subspace ge
     (["construct", "--p", "2", "--e", "1", "--n", "4", "--m", "3", "--k", "3"], 2, False),
     (["construct", "--p", "3", "--e", "1", "--n", "200000000", "--m", "2", "--k", "1"], 3, True),
 ], ids=["exit-0-stdout", "exit-0-file", "exit-2", "exit-3"])
-def test_the_command_writes_what_main_writes(tmp_path, capsys, args, code, to_file):
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_the_command_writes_what_main_writes(tmp_path, capsys, args, code, to_file, launcher):
     # the command ends with os._exit after flushing: every byte main() writes
     # in-process still reaches stdout, stderr and the --output file
     out = tmp_path / "in.json"
     assert run(args + (["--output", str(out)] if to_file else [])) == code
     captured = capsys.readouterr()
     child_out = tmp_path / "child.json"
-    cmd, env = _child(args + (["--output", str(child_out)] if to_file else []))
+    cmd, env = _child(args + (["--output", str(child_out)] if to_file else []), launcher)
     proc = subprocess.run(cmd, env=env, capture_output=True, timeout=120)
     assert proc.returncode == code
     assert proc.stdout == captured.out.encode() and proc.stderr == captured.err.encode()
     assert (child_out.read_bytes() if child_out.exists() else None) == (out.read_bytes() if out.exists() else None)
     assert out.exists() == (to_file and code == 0) and bool(captured.out) == (not to_file and code == 0)
-
-
-def test_the_command_stopped_by_its_reader_wrote_what_main_writes(capsys):
-    # exit 5: what the reader took before it closed the pipe is the start of
-    # what main() writes in-process
-    args = "aut --p 7 --e 1 --n 3 --m 2 --k 1 --s 1 --h 1 --eta nonsquare-min --subspace generic:1".split()
-    assert run(args) == 0
-    want = capsys.readouterr().out.encode()
-    cmd, env = _child(args)
-    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    try:
-        got = proc.stdout.read(1 << 16)
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 5
-    finally:
-        proc.kill()
-        proc.wait()
-    assert len(got) == 1 << 16 and want.startswith(got) and len(want) > 1 << 20
-    assert err == b"output closed before it was written in full\n"
 
 
 def test_the_command_under_cprofile_still_prints_its_profile(tmp_path):

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from rankmetric._linalg import chunk_len, fq_arith, fq_rref, generic_nullspace, packed_mats
+from rankmetric._linalg import chunk_len, fq_arith, fq_rref, generic_nullspace, modp_nullspace, packed_mats
 from rankmetric.autgroup import enumerate_gl
 from rankmetric.cli import _guards, resolve_instance
 from rankmetric.errors import HypothesisNotMetError, OneNotInSError
@@ -547,11 +547,11 @@ def test_nucleus_is_every_matrix_found_by_enumeration(side, p, e, n, m):
     assert len(orders) > 1  # not only the scalars
 
 
-# (m, n, dims, stride): random F_2 codes of these dimensions, near m n so
-# that most A have a nonzero B-space, against A = I and then every
-# stride-th A of GL(m, 2): several chunks of A, the last one partial;
-# n = 9 gives systems of 81 columns, two words a row
-PACKED_CELLS = [(3, 5, (14, 13), 1), (4, 4, (15,), 31), (3, 9, (26,), 1)]
+# (m, n, dims): random F_2 codes of these dimensions, near m n so that
+# most A have a nonzero B-space, against A = I and then all of GL(m, 2):
+# several chunks of A, the last one partial; n = 9 gives systems of 81
+# columns, two words a row
+PACKED_CELLS = [(3, 5, (14, 13)), (4, 4, (15,)), (3, 9, (26,))]
 
 
 def _entry_systems(code, a):
@@ -560,17 +560,18 @@ def _entry_systems(code, a):
     m, n = code.m, code.n
     xs = np.array(code.basis).reshape(-1, m, n)
     hs = np.array(code.parity_rows()).reshape(-1, m, n)
-    return (np.einsum("xij,hik->xhjk", a @ xs % 2, hs) % 2).reshape(-1, n * n).tolist()
+    return (np.einsum("xij,hik->xhjk", a @ xs % 2, hs) % 2).reshape(-1, n * n).astype(np.uint8)
 
 
-@pytest.mark.parametrize("m, n, dims, stride", PACKED_CELLS, ids=[f"m{m}-n{n}" for m, n, _, _ in PACKED_CELLS])
-def test_packed_stabilizers_match_the_unpacked_path(m, n, dims, stride):
-    # the systems built as BitField words against generic_nullspace on the
-    # entry systems
+@pytest.mark.parametrize("m, n, dims", PACKED_CELLS, ids=[f"m{m}-n{n}" for m, n, _ in PACKED_CELLS])
+def test_packed_stabilizers_match_the_unpacked_path(m, n, dims):
+    # the parity-word systems against the entry systems built apart from
+    # them, solved as one stack for every A and by generic_nullspace for
+    # every 31st A
     gf, ops = field_create(2, 1, n), field_create(2, 1, 1)
     f = fq_arith(gf)
     rng = random.Random(f"packed-{m}-{n}")
-    lefts = [np.eye(m, dtype=np.int64), *itertools.islice(enumerate_gl(gf, m), 0, None, stride)]
+    lefts = [np.eye(m, dtype=np.int64), *enumerate_gl(gf, m)]
     words = -(-n * n // 64)
     for dim in dims:
         rows, pivots = [], ()
@@ -580,9 +581,13 @@ def test_packed_stabilizers_match_the_unpacked_path(m, n, dims, stride):
         per_a = dim * max(m * n, (m * n - dim) * words)
         assert len(lefts) > chunk_len(per_a) and len(lefts) % chunk_len(per_a)
         packed = [(packed_mats(f, a), [v.tolist() for v in null]) for a, null in code.right_stabilizers(lefts)]
-        plain = [(packed_mats(f, a), null) for a in lefts if (null := generic_nullspace(_entry_systems(code, a), ops))]
+        systems = [_entry_systems(code, a) for a in lefts]
+        nulls = modp_nullspace(np.array(systems), 2)
+        plain = [(packed_mats(f, a), [v.tolist() for v in null]) for a, null in zip(lefts, nulls) if null]
         assert packed == plain and len(packed) > 24
         assert packed[0][0] == mat_identity(gf, m)  # A = I, rho = 0: the right nucleus
+        for system, null in itertools.islice(zip(systems, nulls), 0, None, 31):
+            assert generic_nullspace(system.tolist(), ops) == [v.tolist() for v in null]
 
 
 def _field_structure_by_enumeration(basis, gf):
