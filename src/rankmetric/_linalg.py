@@ -181,8 +181,8 @@ class BitField:
     a sum a XOR, both exact on the sign bit: the packed rows of M4RI
     (Albrecht, Bard & Hart, "Algorithm 898", ACM TOMS 37(1), 2010) without
     its Four-Russians tables.  ``modp_rref`` runs every F_2 elimination on
-    it; ``index`` and ``packed`` pass through uint8 bytes, so no temporary
-    is wider than the entry array."""
+    it; ``index`` and ``packed`` go through ``np.packbits`` and
+    ``np.unpackbits``, so no temporary is wider than the entry array."""
 
     q = 2
 
@@ -192,10 +192,12 @@ class BitField:
 
     def index(self, packed):
         """0/1 entries (..., n), any integers read mod 2, as words (..., ceil(n / 64)).
-        Booleans are packed as they are; other entries through one uint8 copy."""
+        Booleans are packed as they are, other entries through their low
+        bits in their own dtype: a cast to uint8 here first pages in
+        numpy's casting code, 0.1-0.2 MB of peak RSS in a short run."""
         bits = np.asarray(packed)
         if bits.dtype != bool:
-            bits = np.bitwise_and(bits, 1, dtype=np.uint8, casting="unsafe")
+            bits = bits & 1
         octets = np.packbits(bits, axis=-1, bitorder="little")
         out = np.zeros(bits.shape[:-1] + (8 * self.words,), dtype=np.uint8)
         out[..., :octets.shape[-1]] = octets
