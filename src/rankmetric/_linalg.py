@@ -181,8 +181,8 @@ class BitField:
     a sum a XOR, both exact on the sign bit: the packed rows of M4RI
     (Albrecht, Bard & Hart, "Algorithm 898", ACM TOMS 37(1), 2010) without
     its Four-Russians tables.  ``modp_rref`` runs every F_2 elimination on
-    it; ``index`` and ``packed`` go through ``np.packbits`` and
-    ``np.unpackbits``, so no temporary is wider than the entry array."""
+    it; ``index`` goes through ``np.packbits`` and ``packed`` through
+    int64 shifts, so no temporary is wider than the entry array."""
 
     q = 2
 
@@ -204,9 +204,11 @@ class BitField:
         return out.view("<i8")
 
     def packed(self, words):
-        """Word rows (..., ceil(n / 64)) as 0/1 entries (..., n)."""
-        octets = np.ascontiguousarray(words, dtype="<i8").view(np.uint8)
-        return np.unpackbits(octets, axis=-1, count=self.n, bitorder="little").astype(np.int64)
+        """Word rows (..., ceil(n / 64)) as 0/1 entries (..., n), read
+        by int64 shifts: a uint8 round trip through ``np.unpackbits``
+        would page in numpy's casting code, as in ``index``."""
+        j = np.arange(self.n)
+        return np.asarray(words)[..., j >> 6] >> (j & 63) & 1
 
     unpack = packed
 
