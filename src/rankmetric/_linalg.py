@@ -208,7 +208,10 @@ class BitField:
         by int64 shifts: a uint8 round trip through ``np.unpackbits``
         would page in numpy's casting code, as in ``index``."""
         j = np.arange(self.n)
-        return np.asarray(words)[..., j >> 6] >> (j & 63) & 1
+        out = np.asarray(words)[..., j >> 6]
+        out >>= j & 63
+        out &= 1
+        return out
 
     unpack = packed
 
