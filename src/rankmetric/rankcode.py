@@ -18,7 +18,7 @@ is MRD with minimum distance m - k + 1.
 
 MRD certificates and minimum distances read the rank-weight histogram
 A_0, ..., A_min(m,n).  It has two exact paths, on the smaller side
-(the basis of ``adjoint`` when n < m): ranking all q^dim codewords as
+(the transposed basis when n < m): ranking all q^dim codewords as
 stacks, or counting codewords by column space, the identity behind the
 rank-metric MacWilliams identities (Delsarte, "Bilinear forms over a
 finite field", JCTA 25, 1978; Ravagnani, "Rank-metric codes and their
@@ -30,8 +30,9 @@ over all V of dimension v,
 
 since a rank-i column space lies in [m-i choose v-i]_q of the v-spaces.
 B_v comes from one rank per V (V = ker H for an H in reduced echelon
-form) and the triangle is solved for A in exact integers.  An exact
-work count over (q, m, n, dim) picks the cheaper path.  ENUM_GUARD
+form) and the triangle is solved for A in exact integers.  The path
+whose kernel stacks store fewer entries, counted once per column
+eliminated, runs (``_work``).  ENUM_GUARD
 bounds q^dim on both paths: the subspace count does not enumerate
 codewords, but which codes exit on the guard is part of the output
 contract.
@@ -40,7 +41,7 @@ contract.
 from __future__ import annotations
 
 import itertools
-from math import comb, gcd
+from math import gcd
 
 import numpy as np
 
@@ -331,18 +332,19 @@ def rank_distance(gf, a, b) -> int:
 def rank_weight_distribution(code: RankCode, guard=ENUM_GUARD) -> list:
     """Histogram of codeword ranks, indexed 0..min(m, n).
 
-    Two exact paths give the same list; the one with the smaller
-    ``_work`` count for (q, m, n, dim) runs.  Both work on the smaller
-    side, ``adjoint(code)`` when n < m, which keeps every rank.
+    Two exact paths give the same list; the one whose stacks store fewer
+    entries (``_work``) runs.  Both work on the smaller side, the
+    transposed basis when n < m, which keeps every rank.
     ``_hist_by_codewords`` ranks the q^dim codewords as stacks;
     ``_hist_by_subspaces`` ranks one map per subspace of F_q^min(m, n).
     The guard bounds q^dim whichever path runs."""
     if code.cardinality > guard:
         raise EnumerationGuardError(
             f"q^dim = {code.cardinality} exceeds guard {guard}")
-    small = adjoint(code) if code.n < code.m else code
-    basis = np.array(small.basis, dtype=np.int64).reshape(small.dim, small.m, small.n)
-    cw, sub = _work(code.gf.q, small.m, small.n, code.dim)
+    basis = np.array(code.basis, dtype=np.int64).reshape(code.dim, code.m, code.n)
+    if code.n < code.m:
+        basis = basis.transpose(0, 2, 1)
+    cw, sub = _work(code.gf.q, *basis.shape[1:], code.dim)
     return _hist_by_subspaces(code.gf, basis) if sub < cw else _hist_by_codewords(code.gf, basis)
 
 
@@ -360,29 +362,19 @@ def gaussian_binomial(a: int, b: int, q: int) -> int:
     return out
 
 
-# Work count of one kernel pass over one column of a stack, beyond its
-# entry updates: the call overhead of ``modp_rref``'s column step, about
-# 30 us against about 30 ns per entry update (numpy 2.4, one core of an
-# Intel Xeon).
-_PASS_WORK = 1 << 10
-
-
 def _work(q, m, n, dim):
-    """Exact work counts (codewords, subspaces) of the two histogram
-    paths for a dim-dimensional code in F_q^(m x n), m <= n.  A kernel
-    call on a stack of matrices with ``cols`` columns counts cols x (its
-    stored entries + _PASS_WORK), a packed F_2 row one entry per word;
-    each pivot set of the subspace path counts 2 x _PASS_WORK."""
+    """Work counts (codewords, subspaces) of the two histogram paths for
+    a dim-dimensional code in F_q^(m x n), m <= n: the entries each path
+    stores in the kernel's stacks, once per column eliminated, a packed
+    F_2 row counted as its words.  The codeword path ranks q^dim m x n
+    matrices over n columns; the subspace path ranks one map per
+    (m - r)-subspace of F_q^m (r = 1, ..., m - 1), r n rows of dim
+    entries, over dim columns."""
     def row(width):
         return _linalg.BitField(width).words if q == 2 else width
 
-    def stacks(items, per_item, cols):
-        calls = -(-items // _linalg.chunk_len(per_item))
-        return cols * (items * per_item + _PASS_WORK * calls)
-
-    codewords = stacks(q ** dim, m * row(n), n)
-    subspaces = sum(stacks(gaussian_binomial(m, r, q), r * n * row(dim), dim)
-                    + 2 * _PASS_WORK * comb(m, r) for r in range(1, m))
+    codewords = n * q ** dim * m * row(n)
+    subspaces = dim * sum(gaussian_binomial(m, r, q) * r * n * row(dim) for r in range(1, m))
     return codewords, subspaces
 
 

@@ -390,15 +390,15 @@ def _subspaces_cheaper(q, m, n, dim):
     return subspaces < codewords
 
 
-# (p, e, n, m, dim): q in {2, 3, 4, 5, 7, 8}, each with a cell with m < n
-# on the subspace side of the cost rule and m = n on the codeword side
+# (p, e, n, m, dim): q in {2, 3, 4, 5, 7, 8}, each with cells on both
+# sides of the cost rule; the codeword side holds the small-dim cells
 HIST_CELLS = [
-    (2, 1, 5, 2, 10), (2, 1, 4, 3, 7), (2, 1, 4, 4, 9),
+    (2, 1, 5, 2, 10), (2, 1, 4, 3, 7), (2, 1, 4, 4, 9), (2, 1, 4, 4, 2),
     (3, 1, 3, 2, 6), (3, 1, 4, 3, 2), (3, 1, 3, 3, 5),
-    (2, 2, 3, 2, 5), (2, 2, 3, 3, 4),
-    (5, 1, 3, 2, 4), (5, 1, 3, 3, 3),
-    (7, 1, 3, 2, 3), (7, 1, 2, 2, 3),
-    (2, 3, 3, 2, 3), (2, 3, 2, 2, 3),
+    (2, 2, 3, 2, 5), (2, 2, 3, 3, 4), (2, 2, 3, 3, 2),
+    (5, 1, 3, 2, 4), (5, 1, 3, 3, 3), (5, 1, 3, 3, 2),
+    (7, 1, 3, 2, 3), (7, 1, 2, 2, 3), (7, 1, 3, 3, 2),
+    (2, 3, 3, 2, 3), (2, 3, 2, 2, 3), (2, 3, 3, 3, 2),
 ]
 
 
@@ -422,12 +422,27 @@ def test_histogram_cells_lie_on_both_sides_of_the_cost_rule():
 
 def test_work_counts_a_packed_f2_row_as_its_words():
     # on F_2, rows of n = 100 and dim = 70 entries are two words each: a
-    # codeword stack holds 2 m words per codeword (chunks of 4096 codewords),
-    # a subspace stack 2 n words per H (the 3 lines of F_2^2, one chunk)
-    from rankmetric.rankcode import _PASS_WORK, _work
-    codewords = 100 * (2 ** 70 * 2 * 2 + _PASS_WORK * 2 ** 70 // 4096)
-    subspaces = 70 * (3 * 100 * 2 + _PASS_WORK) + 2 * _PASS_WORK * 2
-    assert _work(2, 2, 100, 70) == (codewords, subspaces)
+    # codeword stack holds 2 m words per codeword over n columns, a
+    # subspace stack 2 n words per H (the 3 lines of F_2^2) over dim columns
+    from rankmetric.rankcode import _work
+    assert _work(2, 2, 100, 70) == (100 * 2 ** 70 * 2 * 2, 70 * 3 * 100 * 2)
+
+
+@pytest.mark.parametrize("p, e, n, m, dim, path", [
+    (2, 1, 4, 4, 2, "_hist_by_codewords"), (2, 1, 4, 4, 9, "_hist_by_subspaces"),
+    (2, 1, 3, 4, 2, "_hist_by_codewords"),
+])
+def test_histogram_runs_the_path_the_work_count_picks(monkeypatch, p, e, n, m, dim, path):
+    from rankmetric import rankcode
+    from rankmetric.gf import field_create
+    code = _random_code(field_create(p, e, n), m, dim, seed=m * n + dim)
+    ran = []
+    for name in ("_hist_by_codewords", "_hist_by_subspaces"):
+        real = getattr(rankcode, name)
+        monkeypatch.setattr(rankcode, name, lambda gf, basis, name=name, real=real: ran.append(name) or real(gf, basis))
+    hist = rank_weight_distribution(code)
+    assert ran == [path] == ["_hist_by_subspaces" if _subspaces_cheaper(p ** e, m, n, dim) else "_hist_by_codewords"]
+    assert hist == _generic_histogram(code)
 
 
 def test_histogram_paths_agree_on_the_transposed_side():
@@ -438,6 +453,7 @@ def test_histogram_paths_agree_on_the_transposed_side():
         want = _generic_histogram(code)
         assert len(want) == n + 1
         assert _both_paths(code) == (want, want)
+        assert rank_weight_distribution(code) == rank_weight_distribution(adjoint(code)) == want
         assert rank_weight_distribution(code) == want
 
 

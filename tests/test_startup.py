@@ -173,31 +173,32 @@ print(json.dumps({"code": code, "growth_kb": peak_kb() - before}))
     assert out["growth_kb"] < 10 * 1024, out
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status to read VmHWM from")
 def test_aut_output_stage_adds_no_peak_memory():
     # the F_4, m = 2, n = 3 op that sets the aut workload's peak: 1,134
-    # triples, 2 MB of JSON.  Writing it in chunks of about FLUSH_CHARS
-    # characters, with only matrix-row texts held, stays under the peak
-    # the search set; holding the text of every coset's B's and of every
-    # distinct verdict grew the peak by 180 KB here.
+    # triples, 2 MB of JSON.  The peak of the Python allocations of the
+    # writer alone (tracemalloc, reset as the write starts, the payload's
+    # group already found): 219 KB when it writes in chunks of about
+    # FLUSH_CHARS characters with only matrix-row texts held, 602 KB for
+    # the same bytes from a writer that holds the text of every coset's B's
+    # and of every distinct verdict.  The growth of VmHWM over the write
+    # measured this before, but it turned on the heap layout the search
+    # left behind, which moves with the hash seed, the environment and the
+    # checkout path.
     out = _child("""
-import json, os
+import json, os, tracemalloc
 import rankmetric.cli as cli
-
-def peak_kb():
-    with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 
 config = {"field": {"p": 2, "e": 2, "n": 3}, "params": {"m": 2, "k": 1, "s": 1, "h": 0, "eta": "0"},
           "subspace": "generic:3"}
 payload = cli._aut_payload(config)
-before = peak_kb()
+tracemalloc.start()
 with open(os.devnull, "w") as fh:
+    tracemalloc.reset_peak()
     cli._json_write(payload, fh.write, "\\n")
-print(json.dumps({"order": payload["summary"]["order"], "growth_kb": peak_kb() - before}))
+print(json.dumps({"order": payload["summary"]["order"], "peak": tracemalloc.get_traced_memory()[1]}))
 """)
     assert out["order"] == 1134
-    assert out["growth_kb"] <= 64, out
+    assert out["peak"] < 300_000, out
 
 
 def test_aut_holds_the_group_once():
