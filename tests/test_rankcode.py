@@ -454,7 +454,6 @@ def test_histogram_paths_agree_on_the_transposed_side():
         assert len(want) == n + 1
         assert _both_paths(code) == (want, want)
         assert rank_weight_distribution(code) == rank_weight_distribution(adjoint(code)) == want
-        assert rank_weight_distribution(code) == want
 
 
 @pytest.mark.parametrize("pen, m", [((2, 1, 3), 2), ((3, 1, 2), 2), ((2, 2, 2), 3), ((5, 1, 2), 2)],

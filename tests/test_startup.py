@@ -180,10 +180,9 @@ def test_aut_output_stage_adds_no_peak_memory():
     # group already found): 219 KB when it writes in chunks of about
     # FLUSH_CHARS characters with only matrix-row texts held, 602 KB for
     # the same bytes from a writer that holds the text of every coset's B's
-    # and of every distinct verdict.  The growth of VmHWM over the write
-    # measured this before, but it turned on the heap layout the search
-    # left behind, which moves with the hash seed, the environment and the
-    # checkout path.
+    # and of every distinct verdict.  Not the growth of VmHWM over the
+    # write: that turns on the heap layout the search left behind, which
+    # moves with the hash seed, the environment and the checkout path.
     out = _child("""
 import json, os, tracemalloc
 import rankmetric.cli as cli
