@@ -6,15 +6,13 @@ of F_q (a power of x -> x^p) such that {A X^rho B : X in C} = C.
 Triples compose by (A1, B1, r1) o (A2, B2, r2) =
 (A1 A2^(r1), B2^(r1) B1, r1 + r2).
 
-The exhaustive search fixes the m-side: for each rho and each A in
-GL(m, q), the set {B : A X^rho B in C for all X} is the nullspace of a
-linear system over F_q (``RankCode.right_stabilizers``, whose A = I case
-is the right nucleus), so the whole group is found with
-|GL(m, q)| * |Aut(F_q)| solves instead of a product-group sweep, on
-index matrices, one rho per solve (packed tuples only for the matrices
-handed out).  For a linear bijective map, mapping a basis into the
-code already forces set equality, so invertible nullspace members are
-automorphisms outright.
+The exhaustive search fixes the m-side: for each rho and each A in a
+list of candidates, the set {B : A X^rho B in C for all X} is the
+nullspace of a linear system over F_q (``RankCode.right_stabilizers``,
+whose A = I case is the right nucleus), on index matrices, one rho per
+solve (packed tuples only for the matrices handed out).  For a linear
+bijective map, mapping a basis into the code already forces set
+equality, so invertible nullspace members are automorphisms outright.
 
 The right nucleus N_r = {Y : C Y in C} fixes the shape of the group:
 the invertible B of one (rho, A) are empty or a coset B0 N_r^* of the
@@ -25,6 +23,22 @@ B-space of (rho, A).
   (3) B0 Y is invertible iff Y is, so V's invertibles are B0 N_r^*.
 So the group is held as its members (rho, A, coset), each distinct
 coset once, and its |Aut| triples are made only as it is read.
+
+It also finds the candidates.  For (A, B, rho) in Aut(C) and Y in N_r,
+A C^rho B (B^(-1) Y^rho B) = A (C Y)^rho B lies in C, so
+B^(-1) N_r^rho B = N_r.  When N_r = F_q[z] is the field F_{q^n}
+(``field_conjugates``), B^(-1) z^rho B is a root w in N_r of the
+minimal polynomial of z^rho (entrywise Frobenius), and those roots are
+the n matrix powers w_j = z^(p^rho q^j).  The B with z^rho B = B w_j
+form a 1-dimensional F_{q^n}-space, so they are B_j N_r and every
+nonzero one is invertible.  As C y = C for y in N_r^*, (A, B_j y, rho)
+is an automorphism iff (A, B_j, rho) is, so the members' A are the
+invertibles of the n linear spaces {A : A X^rho B_j in C}, each the
+transpose of a right stabilizer of ``adjoint(code)``.  The search
+sorts them in ``enumerate_gl`` order and solves their B-spaces as
+before: e n small solves, not one per A in GL(m, q), and the same
+members, cosets and bytes.  Where N_r is not F_{q^n} the search walks
+GL(m, q) once per rho, which stays the tests' reference.
 
 The Theta set collects the coefficient sums of right-nucleus elements
 written in the q^(i ell)-monomial ansatz; its two predicates (meeting
@@ -43,12 +57,14 @@ import numpy as np
 
 from . import _linalg
 from .errors import AnsatzMismatchError, EnumerationGuardError
+from .gf import factorize
 from .linpoly import LinearizedPoly, SubspaceSpec, matrix_to_poly, moore_inverse, poly_to_matrix
 from .nuclei import mside_twisted_scalar, right_nucleus_bruteforce, smallest_containing_subfield
 from .rankcode import (
     GL_GUARD_AUT,
     RankCode,
     CodeParams,
+    adjoint,
     build_gtg,
     mat_frobenius_p,
     mat_identity,
@@ -127,14 +143,18 @@ def gl_order(q: int, n: int) -> int:
     return out
 
 
+def _gl_guard(q, n, guard):
+    size = gl_order(q, n)
+    if size > guard:
+        raise EnumerationGuardError(f"|GL({n},{q})| = {size} exceeds guard {guard}")
+
+
 def enumerate_gl(gf, n: int, guard: int = GL_GUARD_NORMALIZER):
     """All of GL(n, q) as n x n entry-index arrays in lexicographic
     row-major order, streamed: candidate t = 0, 1, ..., q^(n^2) - 1 holds
     the base-q digits of t, the last entry's fastest, and the invertible
     ones are yielded.  Nothing is kept, so each call walks GL again."""
-    size = gl_order(gf.q, n)
-    if size > guard:
-        raise EnumerationGuardError(f"|GL({n},{gf.q})| = {size} exceeds guard {guard}")
+    _gl_guard(gf.q, n, guard)
     f = _linalg.fq_arith(gf)
     candidates = (digits[:, ::-1] for digits in _linalg.span_digits(n * n, gf.q, n * n))
     for mats in _invertibles(f, candidates, n):
@@ -260,13 +280,88 @@ def normalizer_elements(nr_basis, gf, guard: int = GL_GUARD_NORMALIZER):
 # exhaustive automorphism search
 # ----------------------------------------------------------------------------
 
+def _mat_pow(f, a, k):
+    """a^k for an index matrix a and k >= 1, by squaring."""
+    out = None
+    while k:
+        if k & 1:
+            out = a if out is None else f.matmul(out, a)
+        k >>= 1
+        if k:
+            a = f.matmul(a, a)
+    return out
+
+
+def field_conjugates(f, basis, n):
+    """The conjugates z, z^q, ..., z^(q^(n-1)) (matrix powers, an (n, n, n)
+    index array) of a generator z of the F_q-algebra spanned by ``basis``
+    (n index rows of n x n matrices; the algebra is closed under products
+    and holds I) when that algebra is the field F_{q^n}, else None.
+
+    z is the first element, in ``modp_span`` order, whose powers I, z, ...,
+    z^(n-1) are independent: then F_q[z] is the whole algebra, which is
+    F_q[x]/(mu) for z's minimal polynomial mu of degree n.  Only the span
+    of the first floor(n/2) + 1 basis rows (the first q^(floor(n/2) + 1)
+    elements) is walked.  In F_{q^n} its meets with the maximal proper
+    subfields, one per prime r | n and each of dimension n/r <= n/2, are
+    proper subspaces of it, and at most q proper subspaces never cover a
+    space, so a generator lies in it (n has at most q prime divisors for
+    every n < 30).  mu is irreducible, by Rabin's test read in F_q[z], iff
+    z^(q^n) = z and z^(q^(n/r)) - z is invertible for each prime r | n."""
+    lead = np.asarray(basis)[:n // 2 + 1]
+    eye = np.eye(n, dtype=np.int64)
+    for digits in _linalg.span_digits(len(lead), f.q, n ** 3):
+        zs = f.matmul(digits, lead).reshape(-1, n, n)
+        powers = itertools.accumulate(range(n - 1), lambda y, _: f.matmul(y, zs), initial=np.broadcast_to(eye, zs.shape))
+        hit = np.flatnonzero(_linalg.modp_rank(np.stack(list(powers), axis=1).reshape(-1, n, n * n), f) == n)
+        if len(hit):
+            break
+    else:
+        return None
+    conj = list(itertools.accumulate(range(n), lambda y, _: _mat_pow(f, y, f.q), initial=zs[hit[0]]))
+    if (conj[n] != conj[0]).any() or any(_linalg.modp_rank(f.sub(conj[n // r], conj[0]), f) < n for r in factorize(n)):
+        return None
+    return np.stack(conj[:n])
+
+
+def right_nucleus_conjugates(code: RankCode):
+    """``field_conjugates`` of the right nucleus (the A = I solve), or
+    None when it is not the field F_{q^n}."""
+    [(_, basis)] = code.right_stabilizers([np.eye(code.m, dtype=np.int64)])
+    return field_conjugates(_linalg.fq_arith(code.gf), np.array(basis), code.n) if len(basis) == code.n else None
+
+
+def _member_lefts(code: RankCode, conj, rho):
+    """The A of every member of rho, an index stack (k, m, m) in
+    ``enumerate_gl`` order, from the conjugates of a generator z of the
+    right nucleus F_{q^n} (module docstring): B_j is the first basis
+    vector of {B : z^rho B = B w_j}, w_j = (z^(q^j))^(p^rho), all n
+    systems one stack, and the A of each B_j are the transposed
+    invertibles of ``adjoint(code).right_stabilizers([B_j^T], rho)``."""
+    gf, m, n = code.gf, code.m, code.n
+    f = _linalg.fq_arith(gf)
+    eye = np.eye(n, dtype=np.int64)
+    zr = f.index(mat_frobenius_p(gf, _linalg.packed_mats(f, conj[0]), rho))
+    # row-major vec(z B - B w) = (z (x) I - I (x) w^T) vec(B); indices 0 and 1 multiply as integers
+    systems = f.sub(np.kron(zr, eye), np.stack([np.kron(eye, _mat_pow(f, w, gf.p ** rho).T) for w in conj]))
+    bts = [np.reshape(null[0], (n, n)).T for null in _linalg.modp_nullspace(systems, f)]
+    found = [ys.swapaxes(1, 2) for _, null in adjoint(code).right_stabilizers(bts, rho)
+             for ys in _invertibles(f, _linalg.modp_span(null, f), m)]
+    a = np.concatenate(found) if found else np.empty((0, m, m), dtype=np.int64)
+    return a[np.lexsort(a.reshape(len(a), m * m).T[::-1])]
+
+
 def aut_bruteforce(code: RankCode, gl_guard: int = GL_GUARD_AUT) -> AutGroup:
     """The full automorphism group of the code as an ``AutGroup``, in
-    deterministic (rho, A, B) lexicographic order: GL(m, q) is walked as
-    index matrices once per rho, one rho per solve, and not kept.  Equal
-    B-spaces have equal canonical nullspace bases, so the span of each
-    distinct one is enumerated once; a member whose space holds no
-    invertible B is dropped."""
+    deterministic (rho, A, B) lexicographic order.  The A of each rho
+    come from the right nucleus when it is the field F_{q^n}
+    (``_member_lefts``); otherwise GL(m, q) is walked as index matrices
+    once per rho and not kept.  Either way their B-spaces are solved one
+    rho per solve; equal B-spaces have equal canonical nullspace bases,
+    so the span of each distinct one is enumerated once, and a member
+    whose space holds no invertible B is dropped.  The guards come
+    first: n^2 <= 36, the zero and the full code, and |GL(m, q)| <=
+    ``gl_guard`` whichever path runs."""
     gf, n = code.gf, code.n
     if n * n > 36:
         raise EnumerationGuardError(f"n^2 = {n * n} exceeds the 36 guard")
@@ -274,10 +369,13 @@ def aut_bruteforce(code: RankCode, gl_guard: int = GL_GUARD_AUT) -> AutGroup:
         raise EnumerationGuardError(
             f"code is {'the zero code' if not code.basis else 'the full matrix space'}; "
             "its automorphism set is all of GL(m,q) x GL(n,q) x Aut(F_q) and is not enumerated")
+    _gl_guard(gf.q, code.m, gl_guard)
+    conj = right_nucleus_conjugates(code)
     f = _linalg.fq_arith(gf)
     members, cosets, seen = [], [], {}
     for rho in range(gf.e):
-        for a_mat, null in code.right_stabilizers(enumerate_gl(gf, code.m, gl_guard), rho):
+        lefts = enumerate_gl(gf, code.m, gl_guard) if conj is None else _member_lefts(code, conj, rho)
+        for a_mat, null in code.right_stabilizers(lefts, rho):
             key = np.array(null).tobytes()
             if key not in seen:
                 bs = np.concatenate(list(_invertibles(f, _linalg.modp_span(null, f), n)))

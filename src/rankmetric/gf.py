@@ -208,8 +208,8 @@ class FieldSpec:
             exp = self.powers(self.generator, self.order - 1)
             log = np.full(self.order, -1, dtype=np.int64)
             log[exp] = np.arange(self.order - 1)
-            self._exp = exp.tolist()
-            self._log = log.tolist()
+            self._exp = memoryview(exp)  # buffers, not lists: indexing still gives Python ints
+            self._log = memoryview(log)
 
         # F_p-coordinates of (1, g, ..., g^(e-1)), g generating F_q^*: the
         # F_p digits (d_0, ..., d_(e-1)) stand for sum d_t g^t in F_q

@@ -214,10 +214,11 @@ def run_selfcheck(instance, aut_payload, json_write) -> int:
                 mats = np.concatenate(list(_linalg.modp_span(null, f))).reshape(-1, n, n)
                 bs = sorted(_linalg.packed_mats(f, mats[_linalg.modp_rank(mats, f) == n]))
                 want += [autgroup.AutTriple(_linalg.packed_mats(f, a_mat), b, rho) for b in bs]
+        assert autgroup.right_nucleus_conjugates(code) is not None  # the search takes no GL walk
         group = autgroup.aut_bruteforce(code)
         assert list(group) == want and len(group) == len(want), (len(group), len(want))
-    _check("automorphism group held as cosets equals the per-A span reference on an F_4 cell",
-           aut_cosets, failures)
+    _check("automorphism group found from the right nucleus F_{q^n} and held as cosets equals "
+           "the per-A walk over GL(m, q) on an F_4 cell", aut_cosets, failures)
 
     def json_writer():
         _, gf, _, S, code, _ = instance(f4_aut)

@@ -1,10 +1,11 @@
+import functools
 import time
 import types
 
 import numpy as np
 import pytest
 
-from rankmetric import _linalg
+from rankmetric import _linalg, autgroup
 from rankmetric.cli import resolve_eta, resolve_subspace
 from rankmetric.errors import AnsatzMismatchError, EnumerationGuardError
 from rankmetric.gf import field_create
@@ -18,16 +19,23 @@ from rankmetric.autgroup import (
     aut_report,
     check_monomial_form,
     enumerate_gl,
+    field_conjugates,
     generate_known_automorphisms,
     gl_order,
     monomial_forms,
     mside_twisted_scalar,
     normalizer_elements,
+    right_nucleus_conjugates,
     right_nucleus_polyform,
     theta_set,
     triple_acts,
 )
-from rankmetric.nuclei import right_nucleus_bruteforce, smallest_containing_subfield, subfield_fq_basis
+from rankmetric.nuclei import (
+    nucleus_field_structure,
+    right_nucleus_bruteforce,
+    smallest_containing_subfield,
+    subfield_fq_basis,
+)
 from rankmetric.rankcode import CodeParams, RankCode, build_gtg, mat_frobenius_p, mat_identity, project_code
 
 
@@ -219,11 +227,30 @@ def test_aut_contains_nucleus_scalars(q2n4_report):
     assert count == 15
 
 
-def test_aut_guard(f64):
+def _count_walks(monkeypatch):
+    """The m of every GL(m, q) walk ``aut_bruteforce`` starts from now on."""
+    walks = []
+
+    def counted(gf, n, *args):
+        walks.append(n)
+        return enumerate_gl(gf, n, *args)
+    monkeypatch.setattr(autgroup, "enumerate_gl", counted)
+    return walks
+
+
+def test_aut_guard(f64, tiny_code, monkeypatch):
     S = generic_subspace(f64, 5)
     code = project_code(build_gtg(CodeParams(f64, 5, 3, 1, 0, 0)), S)
     with pytest.raises(EnumerationGuardError):
         aut_bruteforce(code, gl_guard=100)
+    # the guard fires before the right-nucleus search, which never walks GL
+    _, _, _, code = tiny_code
+    assert right_nucleus_conjugates(code) is not None
+    walks = _count_walks(monkeypatch)
+    with pytest.raises(EnumerationGuardError, match=r"\|GL\(2,2\)\| = 6 exceeds guard 5"):
+        aut_bruteforce(code, gl_guard=5)
+    assert len(aut_bruteforce(code, gl_guard=6)) == len(aut_bruteforce(code)) > 0
+    assert walks == []
 
 
 def test_known_retains_nucleus_scalars(f81):
@@ -402,12 +429,19 @@ def _unit_count(code):
     return sum(int((_linalg.modp_rank(mats.reshape(-1, n, n), f) == n).sum()) for mats in _linalg.modp_span(basis, f))
 
 
-@pytest.mark.parametrize("p, e, n, m, k, h, eta, sub", COSET_CELLS.values(), ids=COSET_CELLS.keys())
-def test_group_is_its_members_times_the_right_nucleus_units(p, e, n, m, k, h, eta, sub):
+def _code(p, e, n, m, k, h, eta, sub):
     gf = field_create(p, e, n)
     eta = gf.generator if eta == "generator" else resolve_eta(gf, eta)
-    code = project_code(build_gtg(CodeParams(gf, m, k, 1, h, eta)), resolve_subspace(gf, sub, m))
+    return project_code(build_gtg(CodeParams(gf, m, k, 1, h, eta)), resolve_subspace(gf, sub, m))
+
+
+@pytest.mark.parametrize("p, e, n, m, k, h, eta, sub", COSET_CELLS.values(), ids=COSET_CELLS.keys())
+def test_group_is_its_members_times_the_right_nucleus_units(p, e, n, m, k, h, eta, sub, monkeypatch):
+    # every cell's right nucleus is F_{q^n}: the search takes no GL walk
+    code = _code(p, e, n, m, k, h, eta, sub)
+    walks = _count_walks(monkeypatch)
     group = aut_bruteforce(code)
+    assert walks == []
     want = _per_a_reference(code)
     assert list(group) == want and list(group) == want  # in order, and read twice
     units = _unit_count(code)
@@ -432,3 +466,83 @@ def test_monomial_forms_by_one_product_per_coset_match_the_per_b_path(p, e, n, m
     rep = aut_report(code, S)
     assert rep["ell_right"] == ell
     assert rep["monomial_fraction"] == sum(sum(f[0] for f in want[c]) for _, _, c in group.members) / len(group)
+
+
+# (p, e, n, m, k, h, eta, subspace) and the right nucleus's (dimension,
+# is a field): cells whose right nucleus is not F_{q^n}, so the search
+# walks GL(m, q) once per rho: N_r = F_9 inside F_81; both nuclei F_3 at
+# k = 2; N_r of dimension n that is not a field (an m = k + 1 cell)
+WALK_CELLS = {
+    "Nr=F9": ((3, 1, 4, 3, 1, 2, "nonsquare-min", "generic:0"), (2, True)),
+    "Nr=Nm=F3": ((3, 1, 3, 3, 2, 1, "nonsquare-min", "generic:0"), (1, True)),
+    "Nr-dim-n-not-a-field": ((3, 1, 4, 2, 1, 2, "nonsquare-min", "generic:0"), (4, False)),
+}
+
+
+@pytest.mark.parametrize("cell, nucleus", WALK_CELLS.values(), ids=WALK_CELLS.keys())
+def test_codes_whose_right_nucleus_is_not_the_field_walk_gl(cell, nucleus, monkeypatch):
+    code = _code(*cell)
+    nr = right_nucleus_bruteforce(code)
+    assert (len(nr.bruteforce_basis), nucleus_field_structure(nr, code.gf)[0]) == nucleus
+    assert right_nucleus_conjugates(code) is None
+    walks = _count_walks(monkeypatch)
+    assert list(aut_bruteforce(code)) == _per_a_reference(code)
+    assert walks == [code.m] * code.gf.e
+
+
+def _diagonal_units(size):
+    return [tuple(tuple(int(i == j == t) for j in range(size)) for i in range(size)) for t in range(size)]
+
+
+def test_a_right_nucleus_of_dimension_n_with_no_element_of_degree_n_walks_gl(monkeypatch):
+    # X e_j in F_2 e_j for each column j: the right nucleus is the diagonal
+    # algebra F_2^3, where every element satisfies x^2 = x
+    f8 = field_create(2, 1, 3)
+    code = RankCode(f8, 3, _diagonal_units(3))
+    assert right_nucleus_bruteforce(code).bruteforce_order == 8
+    assert right_nucleus_conjugates(code) is None
+    walks = _count_walks(monkeypatch)
+    group = aut_bruteforce(code)
+    assert list(group) == _per_a_reference(code) and len(group) == 6  # the pairs (P, P^-1), P a permutation
+    assert walks == [3]
+
+
+def _index_basis(gf, mats):
+    return _linalg.fq_arith(gf).index(mats).reshape(len(mats), -1)
+
+
+@pytest.mark.parametrize("p, e, n", [(2, 1, 4), (2, 1, 6), (3, 1, 2), (3, 1, 3), (2, 2, 3), (2, 2, 2)])
+def test_field_certificate_of_the_multiplications_of_a_field(p, e, n):
+    gf = field_create(p, e, n)
+    f = _linalg.fq_arith(gf)
+    mults = [poly_to_matrix(LinearizedPoly.monomial(gf, b, 0)) for b in gf.power_basis()]
+    conj = field_conjugates(f, _index_basis(gf, mults), n)
+    assert conj is not None and nucleus_field_structure(mults, gf) == (True, gf.q ** n)
+    # n distinct conjugates in the span, each the q-th power of the one before
+    h = _linalg.modp_dual(_index_basis(gf, mults), f)
+    assert not f.matmul(conj.reshape(n, n * n), h.T).any()
+    assert len({c.tobytes() for c in conj}) == n
+    for prev, c in zip(conj, conj[1:]):
+        assert (functools.reduce(f.matmul, [prev] * gf.q) == c).all()
+
+
+# algebras of dimension n that are not fields: F_q x F_q (diagonal), the
+# dual numbers F_q[x]/(x^2) (a nilpotent matrix), and F_2^3, which has no
+# element of degree 3, so no generator is found at all
+NON_FIELDS = {
+    "FqxFq-q2": ((2, 1, 2), _diagonal_units(2)),
+    "FqxFq-q3": ((3, 1, 2), _diagonal_units(2)),
+    "FqxFq-q4": ((2, 2, 2), _diagonal_units(2)),
+    "dual-numbers-q2": ((2, 1, 2), [((1, 0), (0, 1)), ((0, 1), (0, 0))]),
+    "dual-numbers-q3": ((3, 1, 2), [((1, 0), (0, 1)), ((0, 1), (0, 0))]),
+    "dual-numbers-q4": ((2, 2, 2), [((1, 0), (0, 1)), ((0, 1), (0, 0))]),
+    "F2^3": ((2, 1, 3), _diagonal_units(3)),
+}
+
+
+@pytest.mark.parametrize("field, basis", NON_FIELDS.values(), ids=NON_FIELDS.keys())
+def test_field_certificate_rejects_algebras_that_are_not_fields(field, basis):
+    gf = field_create(*field)
+    n = len(basis)
+    assert field_conjugates(_linalg.fq_arith(gf), _index_basis(gf, basis), n) is None
+    assert nucleus_field_structure(basis, gf) == (False, None)

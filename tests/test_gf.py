@@ -304,8 +304,8 @@ def test_exp_log_and_digit_tables_match_the_schoolbook_chain(pen):
     log = [-1] * gf.order
     for i, v in enumerate(exp):
         log[v] = i
-    assert gf._exp == exp
-    assert gf._log == log
+    assert gf._exp.tolist() == exp
+    assert gf._log.tolist() == log
     _assert_sums_match_coords(gf)
 
 
