@@ -2,8 +2,10 @@
 """Exhaustive automorphism groups and the monomial necessary condition.
 
 For a code C in F_q^(m x n), automorphisms are triples (A, B, rho) with
-{A X^rho B} = C.  The search fixes A in GL(m, q) and solves linearly
-for B, so desk-scale groups come out exactly.  When the Theta set built
+{A X^rho B} = C.  The search fixes A and solves linearly for B, so
+desk-scale groups come out exactly; when the right nucleus is the field
+F_(q^n) the candidate A come from n linear solves per rho, else from
+all of GL(m, q).  When the Theta set built
 from the right nucleus meets F_(q^ell) outside F_q, every automorphism
 must have an n-side map congruent to a single monomial b X^(q^u) mod
 X^(q^ell) - X; the report checks this on every triple found.
