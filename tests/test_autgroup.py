@@ -31,6 +31,7 @@ from rankmetric.autgroup import (
     triple_acts,
 )
 from rankmetric.nuclei import (
+    middle_nucleus_bruteforce,
     nucleus_field_structure,
     right_nucleus_bruteforce,
     smallest_containing_subfield,
@@ -468,22 +469,24 @@ def test_monomial_forms_by_one_product_per_coset_match_the_per_b_path(p, e, n, m
     assert rep["monomial_fraction"] == sum(sum(f[0] for f in want[c]) for _, _, c in group.members) / len(group)
 
 
-# (p, e, n, m, k, h, eta, subspace) and the right nucleus's (dimension,
-# is a field): cells whose right nucleus is not F_{q^n}, so the search
-# walks GL(m, q) once per rho: N_r = F_9 inside F_81; both nuclei F_3 at
-# k = 2; N_r of dimension n that is not a field (an m = k + 1 cell)
+# (p, e, n, m, k, h, eta, subspace) and (the right nucleus's dimension,
+# whether it is a field, the middle nucleus's dimension): cells whose
+# right nucleus is not F_{q^n}, so the search walks GL(m, q) once per
+# rho: N_r = F_9 inside F_81; both nuclei F_3 at k = 2; N_r of dimension
+# n that is not a field (an m = k + 1 cell)
 WALK_CELLS = {
-    "Nr=F9": ((3, 1, 4, 3, 1, 2, "nonsquare-min", "generic:0"), (2, True)),
-    "Nr=Nm=F3": ((3, 1, 3, 3, 2, 1, "nonsquare-min", "generic:0"), (1, True)),
-    "Nr-dim-n-not-a-field": ((3, 1, 4, 2, 1, 2, "nonsquare-min", "generic:0"), (4, False)),
+    "Nr=F9": ((3, 1, 4, 3, 1, 2, "nonsquare-min", "generic:0"), (2, True, 1)),
+    "Nr=Nm=F3": ((3, 1, 3, 3, 2, 1, "nonsquare-min", "generic:0"), (1, True, 1)),
+    "Nr-dim-n-not-a-field": ((3, 1, 4, 2, 1, 2, "nonsquare-min", "generic:0"), (4, False, 1)),
 }
 
 
-@pytest.mark.parametrize("cell, nucleus", WALK_CELLS.values(), ids=WALK_CELLS.keys())
-def test_codes_whose_right_nucleus_is_not_the_field_walk_gl(cell, nucleus, monkeypatch):
+@pytest.mark.parametrize("cell, nuclei", WALK_CELLS.values(), ids=WALK_CELLS.keys())
+def test_codes_whose_right_nucleus_is_not_the_field_walk_gl(cell, nuclei, monkeypatch):
     code = _code(*cell)
     nr = right_nucleus_bruteforce(code)
-    assert (len(nr.bruteforce_basis), nucleus_field_structure(nr, code.gf)[0]) == nucleus
+    assert (len(nr.bruteforce_basis), nucleus_field_structure(nr, code.gf)[0],
+            len(middle_nucleus_bruteforce(code).bruteforce_basis)) == nuclei
     assert right_nucleus_conjugates(code) is None
     walks = _count_walks(monkeypatch)
     assert list(aut_bruteforce(code)) == _per_a_reference(code)
